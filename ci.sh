@@ -109,4 +109,12 @@ go test -run 'TestFault' -count=1 ./internal/core/
 go run ./cmd/experiments -fig ft -scale 0.02 -q >/dev/null
 go run ./cmd/ddbsim -simtime 60 -warmup 10 -think 4 -logging -mttf 20 >/dev/null
 
+echo "== long-run termination"
+# The default configuration must reach 3000 simulated seconds on seeds 1-3
+# (-short keeps these runs out of the race pass). A processor-sharing job
+# whose completion delay rounded away at a late clock used to re-fire at
+# one instant forever; the CPU regression test pins that unit case.
+go test -run 'TestCPUSubSpacingJobCompletes' -count=1 ./internal/resource/
+go test -run 'TestLongRunTerminates' -count=1 ./internal/core/
+
 echo "CI OK"

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -314,5 +315,32 @@ func TestNoGoroutineLeaks(t *testing.T) {
 	m.Run()
 	if n := m.Sim().LiveProcs(); n != 0 {
 		t.Errorf("%d simulation processes leaked after Run", n)
+	}
+}
+
+// TestLongRunTerminates runs the default configuration for 3000 simulated
+// seconds on seeds 1–3. These runs used to stop advancing simulated time
+// at t ≈ 2.26e6 ms: a host-CPU job left just above the completion
+// tolerance re-fired at one instant forever. Each seed takes several
+// seconds of host time, so -short skips it.
+func TestLongRunTerminates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("3000 s default-config runs; skipped under -short")
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			cfg := DefaultConfig()
+			cfg.SimTimeMs = 3_000_000
+			cfg.Seed = seed
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.MeasuredMs != cfg.SimTimeMs-cfg.WarmupMs || res.Commits == 0 {
+				t.Errorf("measured %v ms with %d commits, want %v ms with commits",
+					res.MeasuredMs, res.Commits, cfg.SimTimeMs-cfg.WarmupMs)
+			}
+		})
 	}
 }

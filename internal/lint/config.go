@@ -70,8 +70,9 @@ func (c Config) policy(check string) Policy {
 //     exempt from the direct check — taint-rand guards the boundary.
 //   - map-order: non-test simulation code must not let Go's randomized
 //     map iteration order reach anything order-sensitive.
-//   - no-naked-goroutine: internal/sim owns the run-to-block scheduler;
-//     host concurrency anywhere else needs an audited annotation. Test
+//   - no-naked-goroutine: simulation processes are internal/sim's
+//     iter.Pull coroutines, so no package, internal/sim included, starts
+//     goroutines; host concurrency needs an audited annotation. Test
 //     harnesses are exempt.
 //   - event-retention: *sim.Event handles die when they fire or are
 //     canceled (free-list recycling), so only internal/sim itself may
@@ -115,7 +116,7 @@ func DefaultConfig(module string) Config {
 		Policy{Check: "no-wall-clock", SkipTests: true, Skip: []string{module + "/cmd"}},
 		Policy{Check: "no-global-rand", Skip: []string{module + "/cmd"}},
 		Policy{Check: "map-order", SkipTests: true},
-		Policy{Check: "no-naked-goroutine", SkipTests: true, Skip: []string{module + "/internal/sim"}},
+		Policy{Check: "no-naked-goroutine", SkipTests: true},
 		Policy{Check: "event-retention", SkipTests: true, Skip: []string{module + "/internal/sim"}},
 		Policy{Check: "span-retention", SkipTests: true, Skip: []string{module + "/internal/obs"}},
 		Policy{Check: "no-reflect-sort", SkipTests: true, Only: []string{module + "/internal"}},

@@ -293,11 +293,12 @@ func (c *CPU) reschedule() {
 func (c *CPU) complete() {
 	c.next = nil
 	c.advance()
+	now := c.sim.Now()
 	fin := c.finScratch[:0]
 	if c.msgLen > 0 {
 		// Messages complete strictly one at a time.
 		head := &c.msgs[c.msgHead]
-		if head.remaining <= instEpsilon {
+		if c.spent(head.remaining, 1, now) {
 			fin = append(fin, *head) //ddbmlint:allow hotpath-alloc finish-scratch growth to the per-tick completion high-water mark
 			*head = cpuJob{}
 			c.msgHead = (c.msgHead + 1) & (len(c.msgs) - 1)
@@ -305,8 +306,9 @@ func (c *CPU) complete() {
 		}
 	} else {
 		kept := c.ps[:0]
+		n := len(c.ps)
 		for i := range c.ps {
-			if c.ps[i].remaining <= instEpsilon {
+			if c.spent(c.ps[i].remaining, n, now) {
 				fin = append(fin, c.ps[i]) //ddbmlint:allow hotpath-alloc finish-scratch growth to the per-tick completion high-water mark
 			} else {
 				kept = append(kept, c.ps[i]) //ddbmlint:allow hotpath-alloc in-place keep: reslice of ps never exceeds its own capacity
@@ -326,6 +328,16 @@ func (c *CPU) complete() {
 		fin[i].finish()
 		fin[i] = cpuJob{}
 	}
+}
+
+// spent reports whether a job with r instructions left, sharing the CPU n
+// ways, is finished: within instEpsilon of zero, or so close that its
+// completion delay (computed exactly as reschedule does) rounds away at
+// now. Late in a long run the float64 spacing at now exceeds that delay
+// for jobs just above instEpsilon; re-arming them would fire at the same
+// instant forever, since advance then has no elapsed time to charge.
+func (c *CPU) spent(r float64, n int, now sim.Time) bool {
+	return r <= instEpsilon || now+r*float64(n)/c.rate == now
 }
 
 // Crash discards every queued and in-service job without delivering any

@@ -270,3 +270,36 @@ func TestCPUWorkConservationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCPUSubSpacingJobCompletes is the regression for the processor-sharing
+// livelock. At t ≈ 2.26e6 ms the float64 spacing is 2⁻³¹ ms, so a job left
+// just above instEpsilon on a 10-MIPS CPU has a completion delay that
+// rounds away (now+dt == now). complete must finish it instead of
+// re-arming the same instant forever; time must then move on.
+func TestCPUSubSpacingJobCompletes(t *testing.T) {
+	const at, inst = 2258732.38, 1.5 * instEpsilon
+	for _, msg := range []bool{false, true} {
+		s := sim.New(1)
+		c := NewCPU(s, 10)
+		if at+inst/c.Rate() != at {
+			t.Fatalf("precondition: delay %v does not round away at %v", inst/c.Rate(), at)
+		}
+		finished := false
+		done := func() { finished = true }
+		s.Schedule(at, func() {
+			if msg {
+				c.UseMsg(inst, done)
+			} else {
+				c.UseAsync(inst, done)
+			}
+		})
+		s.Schedule(at+1, func() {})
+		steps := 0
+		for ; steps < 100 && s.Step(math.Inf(1)); steps++ {
+		}
+		if !finished || steps == 100 || s.Now() != at+1 {
+			t.Errorf("msg=%v: finished=%v after %d steps, clock %v; want the job finished and the clock at %v",
+				msg, finished, steps, s.Now(), at+1)
+		}
+	}
+}

@@ -1,13 +1,22 @@
+//go:build go1.23
+
 // Package sim implements a process-oriented discrete-event simulation
 // kernel, the Go substitute for the DeNet simulation language in which the
 // original Carey/Livny simulator was written.
 //
 // A Sim owns a virtual clock and an event queue. Simulation "processes" are
-// goroutines that run strictly one at a time: the scheduler hands control to
-// a process and blocks until the process either finishes or blocks itself
-// (Delay, Suspend, mailbox receive). Events scheduled for the same instant
-// fire in FIFO order, and all randomness flows through a single seeded
-// source, so every run is fully deterministic.
+// coroutines that run strictly one at a time: the scheduler switches into a
+// process and regains control when the process either finishes or blocks
+// itself (Delay, Suspend, mailbox receive). Events scheduled for the same
+// instant fire in FIFO order, and all randomness flows through a single
+// seeded source, so every run is fully deterministic.
+//
+// Each process is an iter.Pull coroutine, so a process switch is a direct
+// goroutine-to-goroutine transfer that bypasses the Go scheduler. iter.Pull
+// needs Go 1.23. The module's go directive stays at 1.22 so that modules
+// requiring this one at go 1.22 build unchanged; the go1.23 build
+// constraint raises this file's language version so go vet accepts the
+// iter import.
 //
 // The kernel hot path is allocation-free in steady state: fired and
 // canceled callback events are recycled through a free-list, and every
@@ -18,6 +27,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 )
 
@@ -56,23 +66,15 @@ type Sim struct {
 	dispatched uint64
 	seed       int64
 	rng        *rand.Rand
-	yield      chan struct{}
 	cur        *Proc
-	procs      map[*Proc]struct{}
-	idle       []*Proc // finished processes parked for goroutine reuse
+	procs      []*Proc // live processes, each at index Proc.slot
+	idle       []*Proc // finished processes whose coroutines await reuse
 	stopped    bool
-	nprocs     uint64 // total processes ever spawned (for naming/debug)
-	failure    any    // panic value escaped from a process body
 }
 
 // New creates a simulator with the given random seed.
 func New(seed int64) *Sim {
-	return &Sim{
-		seed:  seed,
-		rng:   rand.New(rand.NewSource(seed)),
-		yield: make(chan struct{}),
-		procs: make(map[*Proc]struct{}),
-	}
+	return &Sim{seed: seed, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Seed returns the seed the simulator was created with.
@@ -250,39 +252,44 @@ func (s *Sim) Step(end Time) bool {
 	return false
 }
 
-// Shutdown kills every live process so their goroutines exit. It is called
-// automatically at the end of Run and is idempotent.
+// Shutdown stops every process coroutine, live or idle. A process parked
+// mid-body unwinds through the kill sentinel, so its defers run; one that
+// never started never runs its body. It is called automatically at the end
+// of Run and is idempotent.
 func (s *Sim) Shutdown() {
 	if s.stopped {
 		return
 	}
 	s.stopped = true
-	//ddbmlint:ordered the clock is stopped and no further events fire; each kill only unwinds its own parked goroutine, so kill order is unobservable
-	for p := range s.procs {
-		if p.parked {
-			p.kill()
-		}
+	// Index rather than range: a defer in an unwinding body may still
+	// spawn, and that process must be stopped too.
+	for i := 0; i < len(s.procs); i++ {
+		p := s.procs[i]
+		p.stop()
+		p.done = true
 	}
-	// Killed and finished bodies recycle their goroutines into the idle
-	// pool; dismiss them too so no goroutine outlives the simulation.
-	for i, p := range s.idle {
-		s.idle[i] = nil
-		p.wake <- wakeSignal{kill: true}
-		<-s.yield
+	clear(s.procs)
+	s.procs = s.procs[:0]
+	for _, p := range s.idle {
+		p.stop()
 	}
+	clear(s.idle)
 	s.idle = s.idle[:0]
 }
 
-// LiveProcs returns the number of processes that have started but not yet
-// finished. After Shutdown it reports the processes that leaked (should be 0).
+// LiveProcs returns the number of processes that have been spawned but not
+// yet finished. After Shutdown it reports the processes that leaked (should
+// be 0).
 func (s *Sim) LiveProcs() int { return len(s.procs) }
 
-// Kill terminates a live process mid-run — the crash-stop primitive. The
-// victim unwinds via the kill sentinel exactly as at Shutdown, and its
-// goroutine parks in the idle pool for reuse by a later Spawn. A pending
-// resume (Delay, SpawnAt) is canceled first so the embedded event never
-// fires for the dead process. Killing a finished process is a no-op;
-// killing the currently running process is a kernel-usage bug.
+// Kill terminates a live process mid-run — the crash-stop primitive. A
+// pending resume (Delay, SpawnAt) is canceled so the embedded event never
+// fires for the dead process; then the victim is resumed with its kill
+// flag set. A victim parked mid-body unwinds via the kill sentinel exactly
+// as at Shutdown, one that never started skips its body, and either way
+// its coroutine joins the idle pool for reuse by a later Spawn. Killing a
+// finished process is a no-op; killing the currently running process is a
+// kernel-usage bug.
 func (s *Sim) Kill(p *Proc) {
 	if p == nil || p.done {
 		return
@@ -293,29 +300,28 @@ func (s *Sim) Kill(p *Proc) {
 	if p.ev.index >= 0 {
 		s.Cancel(&p.ev)
 	}
-	p.kill()
+	p.killed = true
+	s.resume(p)
 }
 
 // killed is the sentinel panic value used to unwind terminated processes.
 type killed struct{}
 
-type wakeSignal struct {
-	kill bool
-}
-
-// Proc is a simulation process: a goroutine interleaved with the scheduler
-// so that exactly one process runs at any moment. Finished processes park
-// their goroutine in the simulator's idle pool and are reused by later
-// Spawn calls, so steady-state process churn (one cohort process per
-// transaction cohort) allocates neither a Proc, a channel, nor a goroutine
-// stack.
+// Proc is a simulation process: an iter.Pull coroutine interleaved with the
+// scheduler so that exactly one process runs at any moment. Finished
+// processes keep their coroutine in the simulator's idle pool for reuse by
+// later Spawn calls, so steady-state process churn (one cohort process per
+// transaction cohort) allocates neither a Proc, a coroutine, nor a stack.
 type Proc struct {
 	sim    *Sim
 	name   string
-	wake   chan wakeSignal
-	parked bool // true while blocked waiting for a wake signal
+	fn     func(p *Proc)           // body to run at the next start
+	next   func() (struct{}, bool) // switches into the coroutine until it blocks or finishes
+	stop   func()                  // ends the coroutine for good
+	yield  func(struct{}) bool     // switches from the coroutine back to its resumer
+	slot   int                     // index in Sim.procs while live
 	done   bool
-	fn     func(p *Proc) // body to run at the next start wake
+	killed bool // set by Kill: the body unwinds instead of continuing
 	// ev is the process's resume event, reused for every Delay/Resume/start
 	// so process switching never allocates. A process is blocked in at most
 	// one place at a time, so a single embedded event is always enough.
@@ -334,105 +340,95 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	return s.SpawnAt(s.now, name, fn)
 }
 
-// SpawnAt creates a process that starts running at time at. A goroutine
+// SpawnAt creates a process that starts running at time at. A coroutine
 // from the idle pool is reused when one is available; only the pool-growth
 // path allocates.
 //
 //ddbmlint:hotpath steady-state cohort spawn pinned by TestTxnPathAllocFree
 func (s *Sim) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
-	s.nprocs++
+	var p *Proc
 	if n := len(s.idle); n > 0 {
-		p := s.idle[n-1]
+		p = s.idle[n-1]
 		s.idle[n-1] = nil
 		s.idle = s.idle[:n-1]
-		p.name, p.fn, p.done = name, fn, false
-		s.procs[p] = struct{}{}
-		s.scheduleProc(at, p)
-		return p
+	} else {
+		p = &Proc{sim: s} //ddbmlint:allow hotpath-alloc pool growth: one Proc per high-water concurrent process
+		p.ev.proc = p
+		p.ev.index = -1
+		p.next, p.stop = iter.Pull(p.loop) //ddbmlint:allow hotpath-alloc pool growth: one coroutine per high-water concurrent process
 	}
-	p := &Proc{sim: s, name: name, wake: make(chan wakeSignal), fn: fn} //ddbmlint:allow hotpath-alloc pool growth: one Proc + channel + goroutine per high-water concurrent process
-	p.ev.proc = p
-	p.ev.index = -1
-	s.procs[p] = struct{}{}
-	p.parked = true
-	go p.top() //ddbmlint:allow hotpath-alloc pool growth: goroutine spawned once per high-water concurrent process
+	p.name, p.fn, p.done, p.killed = name, fn, false, false
+	p.slot = len(s.procs)
+	s.procs = append(s.procs, p) //ddbmlint:allow hotpath-alloc live-set push; capacity reaches the concurrent-process high-water mark
 	s.scheduleProc(at, p)
 	return p
 }
 
-// top is a process goroutine's outer loop: run one body per start wake,
-// then park the goroutine in the simulator's idle pool for the next Spawn.
-// A kill wake dismisses the goroutine for good (used for processes parked
-// mid-body at Shutdown, and for idle-pool draining).
-func (p *Proc) top() {
-	s := p.sim
+// loop is a process coroutine: it runs one body per start, then yields as
+// an idle pooled process until a later Spawn resumes it with a new body.
+// Shutdown's stop ends it.
+func (p *Proc) loop(yield func(struct{}) bool) {
+	p.yield = yield
 	for {
-		sig := <-p.wake
-		p.parked = false
-		if sig.kill {
-			p.done = true
-			delete(s.procs, p)
-			s.yield <- struct{}{}
+		p.runBody()
+		if p.sim.stopped {
 			return
 		}
-		p.runBody()
-		p.done = true
-		delete(s.procs, p)
-		p.fn = nil
-		p.parked = true
-		s.idle = append(s.idle, p) //ddbmlint:allow hotpath-alloc idle pool push; capacity reaches the concurrent-process high-water mark
-		s.yield <- struct{}{}
+		p.finish()
+		if !yield(struct{}{}) {
+			return
+		}
 	}
 }
 
-// runBody executes the process body, converting the kill sentinel back
-// into a normal return and handing real panics to the scheduler so they
-// surface in the Run caller.
+// runBody executes the process body unless the process was killed before
+// it started, converting the kill sentinel back into a normal return. Any
+// other panic leaves the coroutine, and iter.Pull re-raises it in the
+// resumer, so it surfaces in the Run caller.
 func (p *Proc) runBody() {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(killed); !ok {
-				p.sim.failure = r
+				panic(r)
 			}
 		}
 	}()
-	p.fn(p) //ddbmlint:allow hotpath-alloc process body dispatch; bodies are pre-bound by their owners and carry their own pins
+	if !p.killed {
+		p.fn(p)
+	}
 }
 
-// resume hands control to p and waits for it to block or finish.
+// finish retires a completed or killed body: the process leaves the live
+// set by swap-remove and its coroutine joins the idle pool.
+func (p *Proc) finish() {
+	s := p.sim
+	p.done, p.fn = true, nil
+	last := len(s.procs) - 1
+	moved := s.procs[last]
+	s.procs[p.slot], moved.slot = moved, p.slot
+	s.procs[last] = nil
+	s.procs = s.procs[:last]
+	s.idle = append(s.idle, p)
+}
+
+// resume switches into p and returns when it blocks or finishes.
 func (s *Sim) resume(p *Proc) {
 	if p.done {
 		return
 	}
 	prev := s.cur
 	s.cur = p
-	p.wake <- wakeSignal{}
-	<-s.yield
+	p.next()
 	s.cur = prev
-	if s.failure != nil {
-		f := s.failure
-		s.failure = nil
-		panic(f)
-	}
 }
 
-// kill unwinds a parked process.
-func (p *Proc) kill() {
-	if p.done {
-		return
-	}
-	p.wake <- wakeSignal{kill: true}
-	<-p.sim.yield
-}
-
-// block parks the calling process until the scheduler wakes it.
+// block switches from the calling process back to its resumer until the
+// scheduler resumes it. A kill (Kill, or Shutdown's stop) unwinds the body
+// through the kill sentinel instead of returning.
 func (p *Proc) block() {
-	p.parked = true
-	p.sim.yield <- struct{}{}
-	sig := <-p.wake
-	p.parked = false
-	if sig.kill {
-		panic(killed{}) //ddbmlint:allow hotpath-alloc shutdown-only kill sentinel
+	//ddbmlint:allow hotpath-alloc coroutine switch to the resumer; iter.Pull's yield allocates nothing (pinned by TestDelayAllocFree)
+	if !p.yield(struct{}{}) || p.killed {
+		panic(killed{}) //ddbmlint:allow hotpath-alloc kill sentinel; raised only on Kill and Shutdown
 	}
 }
 

@@ -2,7 +2,7 @@
 package goroutine
 
 func Spawn(f func()) {
-	go f() // want "goroutine outside internal/sim"
+	go f() // want "naked goroutine"
 }
 
 func SpawnAudited(ch chan int) {
