@@ -5,12 +5,12 @@
 # test suite, a race pass over the whole module (runGrid fans simulations
 # out across host goroutines — real race territory; -short skips only the
 # marathon paper-shape reproductions, which the Tiny studies cover and
-# which would push the race pass past the go test timeout), and a kernel
+# which would push the race pass past the go test timeout), a kernel
 # benchmark smoke so a catastrophic performance regression fails loudly
-# even without reading numbers.
+# even without reading numbers, and the benchmark module's own tests.
 #
-# For the tracked performance numbers, run the trajectory harness instead:
-#   go run ./cmd/bench        # rewrites BENCH_kernel.json
+# For performance numbers, run the benchmark declared in BENCHMARK.json:
+#   bash _perfbench/run.sh --workload paper-8node-2pl --seed 1 --seconds 30 --trace 0
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -61,6 +61,20 @@ echo "== lock-manager benchmark smoke"
 go test -run 'TestSteadyStateAllocFree' \
   -bench 'BenchmarkWaitsForEdges|BenchmarkReleaseAll|BenchmarkFindVictims' \
   -benchtime 0.1s -benchmem ./internal/cc/
+
+echo "== perfbench module tests"
+# _perfbench is a module of its own, so ./... above skips it. Its tests pin
+# the profile decoder, the layer attribution, the metric names against
+# BENCHMARK.json and the correctness gates. Same environment as run.sh: the
+# build cache stays under .bench_build and nothing is fetched.
+(
+  pb="$PWD/.bench_build/perfbench"
+  mkdir -p "$pb/gocache" "$pb/tmp"
+  cd _perfbench
+  GOCACHE="$pb/gocache" GOTMPDIR="$pb/tmp" GOMODCACHE="$pb/gomodcache" \
+    GOTOOLCHAIN=local GOPROXY=off GOFLAGS= GOWORK=off \
+    go test ./...
+)
 
 echo "== transaction-path allocation pin"
 # The end-to-end transaction path (terminals, plans, attempts, envelopes,

@@ -6,60 +6,6 @@ import (
 	"ddbm/internal/sim"
 )
 
-func TestUseMsgBlocking(t *testing.T) {
-	s := sim.New(1)
-	c := NewCPU(s, 1)
-	var done sim.Time
-	s.Spawn("p", func(p *sim.Proc) {
-		c.UseMsgBlocking(p, 3000)
-		done = s.Now()
-	})
-	s.Run(100)
-	if done != 3 {
-		t.Errorf("blocking message finished at %v ms, want 3", done)
-	}
-}
-
-func TestUseMsgBlockingZeroCost(t *testing.T) {
-	s := sim.New(1)
-	c := NewCPU(s, 1)
-	ran := false
-	s.Spawn("p", func(p *sim.Proc) {
-		c.UseMsgBlocking(p, 0)
-		ran = true
-		if s.Now() != 0 {
-			t.Error("zero-cost blocking message advanced time")
-		}
-	})
-	s.Run(10)
-	if !ran {
-		t.Fatal("process never resumed")
-	}
-}
-
-func TestUseMsgBlockingPreemptsPS(t *testing.T) {
-	// A blocking message submitted while PS work runs must still preempt.
-	s := sim.New(1)
-	c := NewCPU(s, 1)
-	var msgDone, jobDone sim.Time
-	s.Spawn("job", func(p *sim.Proc) {
-		c.Use(p, 10000)
-		jobDone = s.Now()
-	})
-	s.Spawn("msg", func(p *sim.Proc) {
-		p.Delay(2)
-		c.UseMsgBlocking(p, 1000)
-		msgDone = s.Now()
-	})
-	s.Run(100)
-	if msgDone != 3 {
-		t.Errorf("message done at %v, want 3", msgDone)
-	}
-	if jobDone != 11 {
-		t.Errorf("job done at %v, want 11", jobDone)
-	}
-}
-
 func TestRateAccessor(t *testing.T) {
 	c := NewCPU(sim.New(1), 2.5)
 	if c.Rate() != 2500 {

@@ -16,7 +16,7 @@ const instEpsilon = 1e-6
 
 // cpuJob is one unit of CPU work, held by value in the CPU's queues so
 // steady-state submission allocates nothing. Completion either resumes
-// proc (the blocking Use/UseMsgBlocking path — no closure needed) or
+// proc (the blocking Use path — no closure needed) or
 // invokes done (the async path — callers pass pre-bound functions).
 type cpuJob struct {
 	remaining float64 // instructions left
@@ -182,17 +182,6 @@ func (c *CPU) UseMsg(inst float64, done func()) {
 		return
 	}
 	c.submitMsg(cpuJob{remaining: inst, done: done})
-}
-
-// UseMsgBlocking is UseMsg for callers running inside a process.
-//
-//ddbmlint:hotpath blocking message service on the transaction path
-func (c *CPU) UseMsgBlocking(p *sim.Proc, inst float64) {
-	if inst <= 0 {
-		return
-	}
-	c.submitMsg(cpuJob{remaining: inst, proc: p})
-	p.Suspend()
 }
 
 //ddbmlint:hotpath shared PS submission path

@@ -6,7 +6,7 @@ import (
 )
 
 // diskReq is one queued disk access, held by value in the per-disk rings.
-// Completion either resumes proc (blocking Read/Write — no closure) or
+// Completion either resumes proc (blocking ReadMeasured/Write — no closure) or
 // invokes done (async path — callers pass pre-bound functions).
 type diskReq struct {
 	write bool
@@ -157,19 +157,10 @@ func (d *DiskArray) SetTrace(t *obs.Tracer, node int) {
 	d.node = node
 }
 
-// Read performs a synchronous page read, blocking the calling process until
-// the disk completes it.
-//
-//ddbmlint:hotpath cohort page reads pinned by TestTxnPathAllocFree
-func (d *DiskArray) Read(p *sim.Proc) {
-	d.submit(diskReq{write: false, proc: p})
-	p.Suspend()
-}
-
-// ReadMeasured is Read, additionally storing the access's drawn service
-// time into *svc at completion (the elapsed wall-clock minus *svc is the
-// queueing delay). Behaviour is otherwise identical to Read — same
-// randomness, same scheduling — so runs are bit-identical either way.
+// ReadMeasured performs a synchronous page read, blocking the calling
+// process until the disk completes it, and stores the access's drawn
+// service time into *svc at completion (the elapsed time minus *svc is the
+// queueing delay).
 //
 //ddbmlint:hotpath cohort page reads pinned by TestTxnPathAllocFree
 func (d *DiskArray) ReadMeasured(p *sim.Proc, svc *float64) {

@@ -13,8 +13,12 @@ func TestDiskReadServiceTimeBounds(t *testing.T) {
 	s.Spawn("p", func(p *sim.Proc) {
 		for i := 0; i < 50; i++ {
 			start := s.Now()
-			d.Read(p)
+			var svc float64
+			d.ReadMeasured(p, &svc)
 			dur := s.Now() - start
+			if !almost(svc, dur, 1e-9) {
+				t.Errorf("measured service %v ms, want the %v ms elapsed (no queueing)", svc, dur)
+			}
 			times = append(times, dur)
 		}
 	})
@@ -34,7 +38,8 @@ func TestDiskFixedServiceTime(t *testing.T) {
 	d := NewDiskArray(s, 1, 20, 20)
 	var done sim.Time
 	s.Spawn("p", func(p *sim.Proc) {
-		d.Read(p)
+		var svc float64
+		d.ReadMeasured(p, &svc)
 		done = s.Now()
 	})
 	s.Run(100)
@@ -216,8 +221,9 @@ func TestDiskRandomAssignmentUsesAllSpindles(t *testing.T) {
 	d := NewDiskArray(s, 4, 10, 30)
 	var p *sim.Proc
 	p = s.Spawn("p", func(p *sim.Proc) {
+		var svc float64
 		for i := 0; i < 200; i++ {
-			d.Read(p)
+			d.ReadMeasured(p, &svc)
 		}
 	})
 	_ = p

@@ -453,6 +453,3 @@ func (p *Proc) Suspend() {
 func (p *Proc) Resume() {
 	p.sim.scheduleProc(p.sim.now, p)
 }
-
-// Hold is an alias for Delay matching DeNet terminology.
-func (p *Proc) Hold(d Time) { p.Delay(d) }

@@ -520,19 +520,6 @@ func TestEventAccessors(t *testing.T) {
 	}
 }
 
-func TestHoldAlias(t *testing.T) {
-	s := New(1)
-	var at Time
-	s.Spawn("p", func(p *Proc) {
-		p.Hold(7)
-		at = s.Now()
-	})
-	s.Run(100)
-	if at != 7 {
-		t.Errorf("Hold resumed at %v, want 7", at)
-	}
-}
-
 func TestSpawnAtPastPanics(t *testing.T) {
 	s := New(1)
 	s.Schedule(50, func() {
