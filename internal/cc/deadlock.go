@@ -13,12 +13,6 @@ import (
 // template.
 func txnIDLess(a, b *TxnMeta) int { return cmp.Compare(a.ID, b.ID) }
 
-// WaitsForProvider is implemented by managers that can report their node's
-// waits-for graph (the locking algorithms); the Snoop gathers these.
-type WaitsForProvider interface {
-	WaitsForEdges() []Edge
-}
-
 // Edge is one waits-for relationship: Waiter is blocked by Blocker at Node.
 type Edge struct {
 	Waiter  *TxnMeta

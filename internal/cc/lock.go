@@ -184,7 +184,7 @@ type LockTable struct {
 
 	// contended holds every entry with a non-empty wait queue, sorted by
 	// pageLess — the incremental replacement for sorting all entries on
-	// every WaitsForEdges call.
+	// every waits-for extraction.
 	contended []*lockEntry
 
 	freeEntries *lockEntry
@@ -701,13 +701,4 @@ func (lt *LockTable) AppendWaitsForEdges(node int, edges []Edge) []Edge {
 		}
 	}
 	return edges
-}
-
-// WaitsForEdges returns this node's waits-for graph in a fresh slice. Hot
-// callers (local detection on every block) should prefer
-// AppendWaitsForEdges with a reused buffer; this allocating form is for
-// the Snoop — whose result travels through a mailbox and must not alias
-// scratch — and for tests.
-func (lt *LockTable) WaitsForEdges(node int) []Edge {
-	return lt.AppendWaitsForEdges(node, nil)
 }

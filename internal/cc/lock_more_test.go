@@ -65,7 +65,7 @@ func TestWaitsForEdgesEmptyWhenNoWaiters(t *testing.T) {
 	lt := NewLockTable()
 	a := fakeCohort(1)
 	lt.Lock(a, pg(1), LockX)
-	if edges := lt.WaitsForEdges(0); len(edges) != 0 {
+	if edges := lt.AppendWaitsForEdges(0, nil); len(edges) != 0 {
 		t.Fatalf("edges %v with no waiters", edges)
 	}
 }
@@ -79,7 +79,7 @@ func TestSameTxnTwoCohortsDontConflictInEdges(t *testing.T) {
 	c2 := &CohortMeta{Txn: txn}
 	lt.Lock(c1, pg(1), LockX)
 	lt.Lock(c2, pg(1), LockX) // queued behind its own transaction
-	for _, e := range lt.WaitsForEdges(0) {
+	for _, e := range lt.AppendWaitsForEdges(0, nil) {
 		if e.Waiter == e.Blocker {
 			t.Fatal("self edge emitted")
 		}

@@ -273,7 +273,7 @@ func TestWaitsForEdges(t *testing.T) {
 	lt.Lock(a, pg(1), LockX)
 	lt.Lock(b, pg(1), LockX) // b waits for a
 	lt.Lock(c, pg(1), LockS) // c waits for a (holder) and b (queued ahead)
-	edges := lt.WaitsForEdges(0)
+	edges := lt.AppendWaitsForEdges(0, nil)
 	type pair struct{ w, h int64 }
 	got := map[pair]bool{}
 	for _, e := range edges {
@@ -298,7 +298,7 @@ func TestWaitsForEdgesUpgradeDeadlockVisible(t *testing.T) {
 	lt.Lock(b, pg(1), LockS)
 	lt.Lock(a, pg(1), LockX)
 	lt.Lock(b, pg(1), LockX)
-	edges := lt.WaitsForEdges(0)
+	edges := lt.AppendWaitsForEdges(0, nil)
 	if !HasCycle(edges) {
 		t.Fatal("conversion deadlock not visible in waits-for graph")
 	}
@@ -388,7 +388,7 @@ func TestLockTableRandomOpsInvariants(t *testing.T) {
 		s.Spawn("watchdog", func(p *sim.Proc) {
 			for {
 				p.Delay(20)
-				victims := FindVictims(lt.WaitsForEdges(0))
+				victims := FindVictims(lt.AppendWaitsForEdges(0, nil))
 				for _, v := range victims {
 					v.AbortRequested = true
 					// Find the victim's cohort, deny it and release its locks.

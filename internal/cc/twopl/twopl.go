@@ -103,12 +103,6 @@ func (m *manager) Timeouts() int64 { return m.timeouts }
 
 func (m *manager) Kind() cc.Kind { return m.kind }
 
-// WaitsForEdges exposes the node's waits-for graph to the Snoop. It
-// allocates a fresh slice: the Snoop's snapshot travels through a mailbox
-// and must survive later lock-table activity on this node, so it cannot
-// alias the local-detection scratch buffer.
-func (m *manager) WaitsForEdges() []cc.Edge { return m.lt.WaitsForEdges(m.env.Node) }
-
 // LockTable exposes the underlying table for invariant checks in tests.
 func (m *manager) LockTable() *cc.LockTable { return m.lt }
 
@@ -192,8 +186,8 @@ func (m *manager) PrepareDeferred(co *cc.CohortMeta, pages []db.PageID, done fun
 
 // snoopNode is the Snoop's per-node state: the node's manager and the
 // reused buffer its waits-for snapshot is collected into. The buffer is
-// refilled at most once per round and the snoop copies every reply out
-// before the next round begins, so reuse cannot alias live data.
+// refilled at most once per round and its reply copies it out on
+// delivery, so reuse cannot alias live data.
 type snoopNode struct {
 	mgr   *manager
 	edges []cc.Edge
@@ -218,11 +212,18 @@ func (a *Algorithm) StartGlobal(g cc.GlobalEnv) {
 		return // local detection already sees the whole graph
 	}
 	g.Sim().Spawn("snoop", func(p *sim.Proc) {
-		mail := g.Sim().NewMailbox()
 		nodes := make([]snoopNode, n)
 		for o := range nodes {
 			nodes[o].mgr = g.ManagerAt(o).(*manager)
 		}
+		// A round collects the snoop node's own edges into all, then each
+		// reply appends its node's snapshot in delivery order and counts
+		// pending down; every reply resumes the parked Snoop.
+		var (
+			all     []cc.Edge
+			pending int
+			parked  *sim.Proc
+		)
 		requests := make([][]func(), n)
 		for at := 0; at < n; at++ {
 			requests[at] = make([]func(), n)
@@ -231,14 +232,20 @@ func (a *Algorithm) StartGlobal(g cc.GlobalEnv) {
 					continue
 				}
 				at, o, nd := at, o, &nodes[o]
-				reply := func() { mail.Send(&nd.edges) }
+				reply := func() {
+					all = append(all, nd.edges...)
+					pending--
+					if w := parked; w != nil {
+						parked = nil
+						w.Resume()
+					}
+				}
 				requests[at][o] = func() {
 					nd.edges = nd.mgr.lt.AppendWaitsForEdges(o, nd.edges[:0])
 					g.SendControl(o, at, reply)
 				}
 			}
 		}
-		var all []cc.Edge
 		node := 0
 		var det cc.Detector // reused across rounds; victims are consumed before the next one
 		if a.MaxTxns > 0 {
@@ -252,18 +259,18 @@ func (a *Algorithm) StartGlobal(g cc.GlobalEnv) {
 		for {
 			p.Delay(a.DetectionIntervalMs)
 			snoopAt := node
-			expect := 0
 			for o := 0; o < n; o++ {
 				if o == snoopAt {
 					continue
 				}
-				expect++
+				pending++
 				g.SendControl(snoopAt, o, requests[snoopAt][o])
 			}
 			self := &nodes[snoopAt]
 			all = self.mgr.lt.AppendWaitsForEdges(snoopAt, all[:0])
-			for i := 0; i < expect; i++ {
-				all = append(all, *mail.Recv(p).(*[]cc.Edge)...)
+			for pending > 0 {
+				parked = p
+				p.Suspend()
 			}
 			for _, v := range det.FindVictims(all) {
 				v.RequestAbort(snoopAt, "global deadlock", cc.CauseGlobalDeadlock)

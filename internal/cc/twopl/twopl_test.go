@@ -284,7 +284,7 @@ func TestWaitsForEdgesExported(t *testing.T) {
 		m.Access(b, pg(1), true)
 	})
 	s.Run(10)
-	edges := m.WaitsForEdges()
+	edges := m.LockTable().AppendWaitsForEdges(3, nil)
 	if len(edges) != 1 || edges[0].Waiter.ID != 2 || edges[0].Blocker.ID != 1 || edges[0].Node != 3 {
 		t.Fatalf("edges %+v", edges)
 	}

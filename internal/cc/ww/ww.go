@@ -48,9 +48,6 @@ func (m *manager) LockTable() *cc.LockTable { return m.lt }
 func (m *manager) TableSize() int    { return m.lt.Size() }
 func (m *manager) BlockedCount() int { return m.lt.WaiterCount() }
 
-// WaitsForEdges lets tests assert the waits-for graph stays acyclic.
-func (m *manager) WaitsForEdges() []cc.Edge { return m.lt.WaitsForEdges(m.env.Node) }
-
 func (m *manager) Access(co *cc.CohortMeta, page db.PageID, write bool) cc.Outcome {
 	if co.Txn.AbortRequested {
 		return cc.Aborted

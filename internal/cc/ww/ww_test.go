@@ -205,7 +205,7 @@ func TestNoDeadlockEverProperty(t *testing.T) {
 				if mi.Access(co, page, write) == cc.Aborted {
 					return
 				}
-				if cc.HasCycle(m.WaitsForEdges()) {
+				if cc.HasCycle(m.LockTable().AppendWaitsForEdges(0, nil)) {
 					t.Error("wound-wait produced a waits-for cycle")
 					return
 				}

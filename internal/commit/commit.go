@@ -81,45 +81,27 @@ func ParseKind(s string) (Kind, error) {
 // Kinds lists every protocol variant, default first.
 func Kinds() []Kind { return []Kind{CentralizedTwoPC, PresumedAbort, PresumedCommit} }
 
-// Vote is a cohort's reply to the PREPARE message. ReadOnly marks the READ
-// vote of the presumed protocols' read-only short-circuit: the cohort has
-// already released locally and takes no part in phase two.
-type Vote struct {
-	Idx      int
-	Yes      bool
-	ReadOnly bool
-}
-
-// Ack acknowledges an abort message at the coordinator.
-type Ack struct{ Idx int }
-
-// AbortSignal marks transaction-manager messages that demand the attempt
-// abort (cohort self-aborts, remote wound and deadlock-victim notices).
-// The vote collection loop treats any such message as a failed prepare
-// phase.
-type AbortSignal interface{ CommitAbortSignal() }
-
 // Message tags for the typed network envelopes the protocol exchanges.
 // Cohort implements network.Handler: node-bound tags run the cohort-side
-// state machine at its node, host-bound tags deliver the cohort's embedded
-// vote/ack into the coordinator's mailbox.
+// state machine at its node, host-bound tags settle the coordinator's
+// wait on the cohort's vote or ack.
 const (
 	tagPrepare = iota // host → node: run the local first phase and vote
 	tagCommit         // host → node: phase-two COMMIT (release, install, maybe ack)
 	tagAbort          // host → node: ABORT (release, maybe force, maybe ack)
-	tagVote           // node → host: deliver &c.vote to the coordinator
-	tagAck            // node → host: deliver &c.ack to the coordinator
+	tagVote           // node → host: the cohort's vote (voteYes) reaches the coordinator
+	tagAck            // node → host: the cohort's abort ack reaches the coordinator
 )
 
 // Cohort is the protocol layer's handle on one cohort of one attempt. It
 // is owned (and free-listed) by the transaction manager; Txn.Attach resets
 // it for each attempt, and all of its protocol messages are pre-bound:
-// the vote and ack travel as pointers to the embedded structs, and the
+// the vote and ack envelopes carry the cohort itself, and the
 // deferred-write and log-force continuations are method values bound once
 // per pooled object, so a steady-state attempt allocates nothing here.
 type Cohort struct {
-	// Idx is the cohort's index within the transaction; votes and acks
-	// carry it back to the coordinator. Assigned by Txn.Attach.
+	// Idx is the cohort's index within the transaction. Assigned by
+	// Txn.Attach.
 	Idx int
 	// Meta is the cohort as the concurrency control managers see it.
 	Meta *cc.CohortMeta
@@ -143,14 +125,17 @@ type Cohort struct {
 	dead bool
 	// abortSent and acked track the abort acknowledgement per cohort so
 	// crash handling can substitute a synthetic ack for a dead cohort
-	// without double counting: fanOut sets abortSent, the coordinator's
-	// ack loop sets acked on the first (real or synthetic) ack.
+	// without double counting: fanOut sets abortSent, the first (real or
+	// synthetic) ack delivery sets acked.
 	abortSent bool
 	acked     bool
+	// voteYes and voteRO are the cohort's vote: YES, and READ (the
+	// presumed protocols' read-only short-circuit: the cohort has already
+	// released locally and takes no part in phase two). At most one vote
+	// is in flight per attempt.
+	voteYes, voteRO bool
 
-	t    *Txn // owning attempt, set by Attach
-	vote Vote // travels by pointer; at most one vote in flight per attempt
-	ack  Ack  // travels by pointer; at most one ack in flight per attempt
+	t *Txn // owning attempt, set by Attach
 
 	deferredFn  func(ok bool) // c.deferredDone, bound once per pooled cohort
 	voteForceFn func()        // c.votedAfterForce, bound once per pooled cohort
@@ -158,11 +143,10 @@ type Cohort struct {
 }
 
 // Txn is one transaction attempt as the protocol layer sees it: the shared
-// metadata, the coordinator's mailbox, and the cohorts.
+// metadata, the cohorts, and the coordinator's wait state.
 type Txn struct {
 	Meta *cc.TxnMeta
-	Mail *sim.Mailbox
-	// Cohorts in load order; Vote.Idx and Ack.Idx index this slice.
+	// Cohorts in load order; Cohort.Idx indexes this slice.
 	Cohorts []*Cohort
 
 	// Protocol-run state, set at Commit/Abort entry so the cohort-side
@@ -171,21 +155,110 @@ type Txn struct {
 	env          Env
 	tp           *twoPC
 	shortCircuit bool
+
+	// The coordinator's wait (see Collect). waiter is the coordinator
+	// process while it is parked in a wait; need counts the reports the
+	// open Collect still lacks (0: no Collect open); ok and crit are the
+	// settled outcome. held keeps the first abort signal delivered while
+	// no Collect was open, for the next one.
+	waiter   *sim.Proc
+	need     int
+	ok       bool
+	crit     int
+	held     bool
+	heldCrit int
 }
 
 // Reset prepares a (possibly recycled) Txn for a new attempt: fresh
-// metadata and mailbox, no cohorts. The cohort slice keeps its backing
-// array, so re-attaching the attempt's cohorts does not allocate once the
-// slice has reached the machine's cohort high-water mark.
+// metadata, no cohorts, no open or held wait. The cohort slice keeps its
+// backing array, so re-attaching the attempt's cohorts does not allocate
+// once the slice has reached the machine's cohort high-water mark.
 //
 //ddbmlint:hotpath per-attempt protocol state reset
-func (t *Txn) Reset(meta *cc.TxnMeta, mail *sim.Mailbox) {
-	t.Meta, t.Mail = meta, mail
+func (t *Txn) Reset(meta *cc.TxnMeta) {
+	t.Meta = meta
 	for i := range t.Cohorts {
 		t.Cohorts[i] = nil
 	}
 	t.Cohorts = t.Cohorts[:0]
 	t.env, t.tp, t.shortCircuit = nil, nil, false
+	t.waiter, t.need, t.held = nil, 0, false
+}
+
+// Collect parks the coordinator process until n reports arrive or the
+// first abort signal does, whichever is delivered first. Report feeds it
+// work-phase completions and YES votes; Fail feeds it self-aborts, NO
+// votes and abort or crash notices. crit is the cohort whose delivery
+// ended the wait (the n-th report or the failing cohort), or -1 for an
+// attempt-level notice. An abort signal held from a delivery while no
+// wait was open fails the wait at once; n = 0 returns at once.
+//
+// The handlers settle the wait in delivery order. Every delivery resumes
+// a parked coordinator, even one that does not end the wait (the
+// coordinator re-checks and parks again): resuming only on the settling
+// delivery would schedule the resume later within the instant and reorder
+// same-instant events.
+//
+//ddbmlint:hotpath coordinator wait pinned by TestTxnPathAllocFree
+func (t *Txn) Collect(p *sim.Proc, n int) (ok bool, crit int) {
+	if n == 0 {
+		return true, -1
+	}
+	if t.held {
+		t.held = false
+		return false, t.heldCrit
+	}
+	t.need = n
+	for t.need > 0 {
+		t.park(p)
+	}
+	return t.ok, t.crit
+}
+
+// Report delivers cohort idx's work-phase completion or YES vote. It
+// settles an open Collect as successful when it is the last report the
+// wait needs.
+//
+//ddbmlint:hotpath report delivery pinned by TestTxnPathAllocFree
+func (t *Txn) Report(idx int) {
+	if t.need > 0 {
+		t.need--
+		if t.need == 0 {
+			t.ok, t.crit = true, idx
+		}
+	}
+	t.wake()
+}
+
+// Fail delivers an abort signal: cohort idx's self-abort or NO vote, or
+// (idx -1) an abort or crash notice. It fails an open Collect; with no
+// Collect open, the first such signal is held for the next one.
+//
+//ddbmlint:hotpath abort-signal delivery pinned by TestTxnPathAllocFree
+func (t *Txn) Fail(idx int) {
+	if t.need > 0 {
+		t.need = 0
+		t.ok, t.crit = false, idx
+	} else if !t.held {
+		t.held, t.heldCrit = true, idx
+	}
+	t.wake()
+}
+
+// park suspends the coordinator until the next delivery.
+func (t *Txn) park(p *sim.Proc) {
+	t.waiter = p
+	p.Suspend()
+}
+
+// wake resumes the coordinator if it is parked in a wait.
+//
+//ddbmlint:hotpath every coordinator-bound delivery
+func (t *Txn) wake() {
+	if w := t.waiter; w != nil {
+		t.waiter = nil
+		w.Resume()
+	}
 }
 
 // Attach adds a cohort to the attempt, assigning its index and resetting
@@ -200,9 +273,8 @@ func (t *Txn) Attach(c *Cohort) {
 	c.done = false
 	c.dead = false
 	c.abortSent, c.acked = false, false
+	c.voteYes, c.voteRO = false, false
 	c.Deferred = c.Deferred[:0]
-	c.vote = Vote{Idx: c.Idx}
-	c.ack = Ack{Idx: c.Idx}
 	if c.deferredFn == nil {
 		c.deferredFn = c.deferredDone
 		c.voteForceFn = c.votedAfterForce
@@ -333,17 +405,16 @@ func fanOut(env Env, cohorts []*Cohort, tag int) int {
 // MarkDead severs a cohort lost to a node crash from the coordinator's
 // protocol run: later fan-outs skip it, and if an abort acknowledgement is
 // outstanding a synthetic ack is delivered locally so the coordinator's
-// wait can finish — the cohort's node will never send the real one. Any
-// duplicate ack this can produce (the real one already in flight) is
-// deduplicated by the coordinator's Idx-keyed ack accounting, and
-// leftovers are cleared when the attempt's mailbox resets.
+// wait can finish — the cohort's node will never send the real one. A
+// real ack already in flight then finds the cohort acked and counts
+// nothing.
 func (c *Cohort) MarkDead() {
 	if c.dead {
 		return
 	}
 	c.dead = true
 	if c.abortSent && !c.acked && c.t.tp != nil && c.t.tp.ackAborts {
-		c.t.Mail.Send(&c.ack)
+		c.ackDelivered()
 	}
 }
 
@@ -358,7 +429,16 @@ func (c *Cohort) Dead() bool { return c.dead }
 func (c *Cohort) MsgDropped(tag int) {
 	if (tag == tagAbort || tag == tagAck) && !c.acked &&
 		c.t.tp != nil && c.t.tp.ackAborts {
-		c.t.Mail.Send(&c.ack)
+		c.ackDelivered()
 	}
 	c.t.env.Release()
+}
+
+// ackDelivered records the cohort's abort acknowledgement at the
+// coordinator and wakes the coordinator's ack wait.
+//
+//ddbmlint:hotpath ack delivery on the abort path
+func (c *Cohort) ackDelivered() {
+	c.acked = true
+	c.t.wake()
 }

@@ -35,12 +35,15 @@ func (f *fakeMgr) PrepareDeferred(co *cc.CohortMeta, pages []db.PageID, done fun
 }
 
 // testEnv is a mock Env over a real simulator: message sends deliver after
-// zero delay, log forces take one simulated millisecond, and every call is
-// counted.
+// zero delay (or route's, when set), log forces take one simulated
+// millisecond, and every call is counted.
 type testEnv struct {
 	s    *sim.Sim
 	host int
 	mgrs []*fakeMgr // indexed by node; host has no manager
+	// route, when set, takes over delivery of every protocol envelope
+	// after it is counted.
+	route func(to int, h network.Handler, tag int)
 
 	logging     bool
 	ts          int64
@@ -65,6 +68,10 @@ func newTestEnv(nodes int, logging bool) *testEnv {
 func (e *testEnv) Host() int { return e.host }
 func (e *testEnv) Send(from, to int, h network.Handler, tag int) {
 	e.sends++
+	if e.route != nil && h != nil {
+		e.route(to, h, tag)
+		return
+	}
 	e.s.After(0, func() {
 		if h != nil {
 			h.HandleMsg(tag)
@@ -105,7 +112,7 @@ func (e *testEnv) Down(node int) bool                       { return false }
 func (e *testEnv) newTxn(readOnly ...bool) *Txn {
 	meta := &cc.TxnMeta{ID: 1, TS: 1, AttemptTS: 1}
 	t := &Txn{}
-	t.Reset(meta, e.s.NewMailbox())
+	t.Reset(meta)
 	for i := range e.mgrs {
 		c := &Cohort{Meta: &cc.CohortMeta{Txn: meta, Node: i}}
 		t.Attach(c)
@@ -352,16 +359,16 @@ func TestAbortSignalDuringVotes(t *testing.T) {
 	for _, k := range Kinds() {
 		env := newTestEnv(2, false)
 		txn := env.newTxn()
-		txn.Mail.Send(testAbortSignal{})
+		// Delivered at the first cohort's prepare, with the vote wait open.
+		env.mgrs[0].onPrepare = func() { txn.Fail(-1) }
 		if runCommit(t, k, env, txn) {
 			t.Fatalf("%v: committed past an abort signal", k)
 		}
+		if env.prepared != 0 {
+			t.Errorf("%v: prepare phase completed past an abort signal", k)
+		}
 	}
 }
-
-type testAbortSignal struct{}
-
-func (testAbortSignal) CommitAbortSignal() {}
 
 // TestAbortRacedBehindLastVote: an abort requested after the votes are in
 // but before the decision (e.g. while the commit record is being forced)
@@ -441,5 +448,172 @@ func TestPartialLoadAbort(t *testing.T) {
 	}
 	if env.sends != 4 {
 		t.Errorf("sends = %d, want 4 (two aborts + two acks)", env.sends)
+	}
+}
+
+// collect runs one Collect in a coordinator process spawned at time 0 and
+// returns its outcome and the instant it returned.
+func collect(s *sim.Sim, txn *Txn, n int) (ok *bool, crit *int, at *sim.Time) {
+	ok, crit, at = new(bool), new(int), new(sim.Time)
+	s.Spawn("coordinator", func(p *sim.Proc) {
+		*ok, *crit = txn.Collect(p, n)
+		*at = s.Now()
+	})
+	return ok, crit, at
+}
+
+// TestNoticeAfterLastVoteDoesNotFailVotes: the wait settles in delivery
+// order. An abort notice delivered in the same instant as the last YES
+// vote, right after it, finds the wait already settled; it does not fail
+// it, and the vote wait reports the last voter as critical.
+func TestNoticeAfterLastVoteDoesNotFailVotes(t *testing.T) {
+	env := newTestEnv(2, false)
+	txn := env.newTxn()
+	ok, crit, at := collect(env.s, txn, 2)
+	env.s.After(1, func() { txn.Report(0) })
+	env.s.After(2, func() {
+		txn.Report(1)
+		txn.Fail(-1)
+	})
+	env.s.Run(100)
+	if !*ok || *crit != 1 || *at != 2 {
+		t.Errorf("Collect = (%v, %d) at %v, want (true, 1) at 2", *ok, *crit, *at)
+	}
+	// The reverse order fails the wait on the notice.
+	env = newTestEnv(2, false)
+	txn = env.newTxn()
+	ok, crit, _ = collect(env.s, txn, 2)
+	env.s.After(1, func() { txn.Report(0) })
+	env.s.After(2, func() {
+		txn.Fail(-1)
+		txn.Report(1)
+	})
+	env.s.Run(100)
+	if *ok || *crit != -1 {
+		t.Errorf("Collect = (%v, %d), want (false, -1)", *ok, *crit)
+	}
+}
+
+// TestNoticeAfterSettleFailsNextCollect: an abort signal delivered after a
+// work-phase wait settled is held, and the next Collect fails on it at
+// once, reporting the signalling cohort, without parking. A wait of zero
+// reports returns at once and leaves the signal held.
+func TestNoticeAfterSettleFailsNextCollect(t *testing.T) {
+	env := newTestEnv(2, false)
+	txn := env.newTxn()
+	var (
+		first, zero, second bool
+		crit                int
+		at                  sim.Time
+	)
+	env.s.Spawn("coordinator", func(p *sim.Proc) {
+		first, _ = txn.Collect(p, 1)
+		p.Delay(5)
+		zero, _ = txn.Collect(p, 0)
+		second, crit = txn.Collect(p, 2)
+		at = env.s.Now()
+	})
+	env.s.After(1, func() {
+		txn.Report(0)
+		txn.Fail(1) // a self-abort right behind the settling report
+	})
+	env.s.After(3, func() { txn.Fail(-1) }) // a second signal: the first stays held
+	env.s.Run(100)
+	if !first || !zero {
+		t.Errorf("first wait ok = %v, zero wait ok = %v; want both true", first, zero)
+	}
+	if second || crit != 1 || at != 6 {
+		t.Errorf("next Collect = (%v, %d) at %v, want (false, 1) at 6", second, crit, at)
+	}
+}
+
+// TestCollectBurstResumesOnce: every delivery resumes a parked
+// coordinator, but a burst of deliveries in one instant resumes it once,
+// and a wait that is not yet settled parks it again.
+func TestCollectBurstResumesOnce(t *testing.T) {
+	env := newTestEnv(3, false)
+	txn := env.newTxn()
+	ok, crit, at := collect(env.s, txn, 3)
+	env.s.After(1, func() {
+		txn.Report(0)
+		txn.Report(1)
+	})
+	env.s.After(2, func() { txn.Report(2) })
+	env.s.Run(100)
+	if !*ok || *crit != 2 || *at != 2 {
+		t.Errorf("Collect = (%v, %d) at %v, want (true, 2) at 2", *ok, *crit, *at)
+	}
+	// Events: the spawn, two deliveries, and one resume per delivery.
+	if got := env.s.EventsDispatched(); got != 5 {
+		t.Errorf("events dispatched = %d, want 5", got)
+	}
+}
+
+// abortWith runs the centralized abort path over every cohort in a
+// coordinator process and returns the instant the coordinator forgot the
+// attempt (-1 if it never did).
+func abortWith(t *testing.T, env *testEnv, txn *Txn) sim.Time {
+	t.Helper()
+	proto, err := New(CentralizedTwoPC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := sim.Time(-1)
+	env.s.Spawn("coordinator", func(p *sim.Proc) {
+		txn.Meta.AbortRequested = true
+		proto.Abort(p, env, txn, len(txn.Cohorts))
+		done = env.s.Now()
+	})
+	env.s.Run(1000)
+	if env.refs != 0 {
+		t.Errorf("attempt references leaked: Retain/Release balance = %d after the run drained", env.refs)
+	}
+	return done
+}
+
+// TestMarkDeadAckCountsOnce: a cohort marked dead while its abort ack is
+// outstanding is acknowledged synthetically; its real ack, arriving later,
+// counts nothing, so the coordinator still waits for the other cohort.
+func TestMarkDeadAckCountsOnce(t *testing.T) {
+	env := newTestEnv(2, false)
+	txn := env.newTxn()
+	// Aborts reach node 0 at 1 and node 1 at 10; acks take 1.
+	env.route = func(to int, h network.Handler, tag int) {
+		d := 1.0
+		if tag == tagAbort && to == 1 {
+			d = 10
+		}
+		env.s.After(d, func() { h.HandleMsg(tag) })
+	}
+	env.s.After(1.5, func() { txn.Cohorts[0].MarkDead() })
+	if done := abortWith(t, env, txn); done != 11 {
+		t.Errorf("coordinator forgot the attempt at %v, want 11 (cohort 1's ack)", done)
+	}
+	if !txn.Cohorts[0].Dead() || env.mgrs[0].aborts != 1 || env.mgrs[1].aborts != 1 {
+		t.Errorf("dead = %v, aborts = %d/%d", txn.Cohorts[0].Dead(), env.mgrs[0].aborts, env.mgrs[1].aborts)
+	}
+}
+
+// TestDroppedAbortEndsAckWait: an abort envelope discarded at a crashed
+// node is acknowledged in its place, so the coordinator's ack wait ends
+// without the node ever seeing the abort.
+func TestDroppedAbortEndsAckWait(t *testing.T) {
+	env := newTestEnv(2, false)
+	txn := env.newTxn()
+	env.route = func(to int, h network.Handler, tag int) {
+		if tag == tagAbort && to == 1 {
+			env.s.After(3, func() { h.(network.DropHandler).MsgDropped(tag) })
+			return
+		}
+		env.s.After(1, func() { h.HandleMsg(tag) })
+	}
+	if done := abortWith(t, env, txn); done != 3 {
+		t.Errorf("coordinator forgot the attempt at %v, want 3 (the drop)", done)
+	}
+	if env.mgrs[0].aborts != 1 || env.mgrs[1].aborts != 0 {
+		t.Errorf("aborts = %d/%d, want 1/0", env.mgrs[0].aborts, env.mgrs[1].aborts)
+	}
+	if txn.Meta.State != cc.Finished {
+		t.Errorf("state = %v, want Finished", txn.Meta.State)
 	}
 }

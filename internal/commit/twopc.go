@@ -61,7 +61,8 @@ func (tp *twoPC) Commit(p *sim.Proc, env Env, t *Txn) bool {
 	}
 
 	tp.sendPrepares(env, t)
-	if !tp.collectVotes(p, t) {
+	if ok, _ := t.Collect(p, len(t.Cohorts)); !ok {
+		// A NO vote or an abort signal.
 		return false
 	}
 	if meta.AbortRequested {
@@ -125,7 +126,7 @@ func (tp *twoPC) sendPrepares(env Env, t *Txn) {
 
 // HandleMsg dispatches one delivered protocol envelope for this cohort:
 // the cohort-side steps at its node, or its vote/ack into the
-// coordinator's mailbox at the host. Host-bound deliveries release the
+// coordinator's wait at the host. Host-bound deliveries release the
 // attempt reference their envelope held; node-bound steps pass theirs
 // down their continuation chain.
 //
@@ -139,10 +140,14 @@ func (c *Cohort) HandleMsg(tag int) {
 	case tagAbort:
 		c.abortAtNode()
 	case tagVote:
-		c.t.Mail.Send(&c.vote)
+		if c.voteYes {
+			c.t.Report(c.Idx)
+		} else {
+			c.t.Fail(c.Idx)
+		}
 		c.t.env.Release() //ddbmlint:allow hotpath-alloc Env facade dispatch; the sole simulation implementation is core's free-listed protocolEnv
 	case tagAck:
-		c.t.Mail.Send(&c.ack)
+		c.ackDelivered()
 		c.t.env.Release() //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
 	}
 }
@@ -162,10 +167,10 @@ func (c *Cohort) prepare() {
 			mgr.Commit(c.Meta) //ddbmlint:allow hotpath-alloc cc.Manager dispatch; see above
 			c.done = true
 			env.CohortResolved(c, true) //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
-			c.vote.Yes, c.vote.ReadOnly = true, true
+			c.voteYes, c.voteRO = true, true
 			c.sendVote()
 		} else {
-			c.vote.Yes, c.vote.ReadOnly = false, false
+			c.voteYes, c.voteRO = false, false
 			c.sendVote()
 		}
 		env.Release() //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
@@ -199,7 +204,7 @@ func (c *Cohort) deferredDone(ok bool) {
 //ddbmlint:hotpath cohort vote path pinned by TestTxnPathAllocFree
 func (c *Cohort) reply(yes bool) {
 	env := c.t.env
-	c.vote.Yes, c.vote.ReadOnly = yes, false
+	c.voteYes, c.voteRO = yes, false
 	if yes && env.Logging() { //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
 		// Force the cohort's prepare record before voting yes
 		// (footnote 5: only log pages are forced pre-commit).
@@ -219,7 +224,7 @@ func (c *Cohort) votedAfterForce() {
 	c.t.env.Release() //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
 }
 
-// sendVote ships the cohort's embedded vote to the coordinator. A
+// sendVote ships the cohort's vote to the coordinator. A
 // non-read-only YES vote opens the cohort's in-doubt window: from here
 // until the decision is applied at its node, a crash leaves the cohort's
 // locks held hostage to the commit protocol's resolution rules.
@@ -227,7 +232,7 @@ func (c *Cohort) votedAfterForce() {
 //ddbmlint:hotpath vote send pinned by TestTxnPathAllocFree
 func (c *Cohort) sendVote() {
 	env := c.t.env
-	if c.vote.Yes && !c.vote.ReadOnly {
+	if c.voteYes && !c.voteRO {
 		env.CohortInDoubt(c) //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
 	}
 	env.Retain()                                  //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
@@ -281,33 +286,13 @@ func (c *Cohort) ackAfterForce() {
 	c.t.env.Release() //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
 }
 
-// sendAck ships the cohort's embedded abort ack to the coordinator.
+// sendAck ships the cohort's abort ack to the coordinator.
 //
 //ddbmlint:hotpath ack send on the abort path
 func (c *Cohort) sendAck() {
 	env := c.t.env
 	env.Retain()                                 //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
 	env.Send(c.Meta.Node, env.Host(), c, tagAck) //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
-}
-
-// collectVotes consumes coordinator mail until every cohort has voted yes,
-// returning false on the first no vote or abort signal. Stale messages from
-// the attempt's work phase are ignored.
-//
-//ddbmlint:hotpath vote collection pinned by TestTxnPathAllocFree
-func (tp *twoPC) collectVotes(p *sim.Proc, t *Txn) bool {
-	for votes := 0; votes < len(t.Cohorts); {
-		switch v := t.Mail.Recv(p).(type) {
-		case *Vote:
-			if !v.Yes {
-				return false
-			}
-			votes++
-		case AbortSignal:
-			return false
-		}
-	}
-	return true
 }
 
 // decisionForce reports whether the commit decision needs a forced log
@@ -331,14 +316,12 @@ func (tp *twoPC) decisionForce(t *Txn) bool {
 // waits for every acknowledgement ("once the transaction manager has
 // finished aborting the transaction", §3.3) before forgetting the attempt.
 // Presumed abort skips the wait entirely; presumed commit additionally
-// forces an abort record at each cohort before it acknowledges. Stale
-// messages from the doomed attempt are drained and ignored.
+// forces an abort record at each cohort before it acknowledges.
 //
-// The wait is keyed by cohort (Ack.Idx), not by a raw count: crash
+// The wait is keyed by cohort (Cohort.acked), not by a raw count: crash
 // handling can deliver a synthetic ack for a dead cohort whose real one is
-// also still in flight, and the Idx accounting absorbs the duplicate
-// instead of miscounting another cohort's ack. Unconsumed duplicates die
-// with the attempt's mailbox reset.
+// also still in flight, and the per-cohort flag absorbs the duplicate
+// instead of miscounting another cohort's ack.
 //
 //ddbmlint:hotpath coordinator abort path on the transaction path
 func (tp *twoPC) Abort(p *sim.Proc, env Env, t *Txn, loaded int) {
@@ -346,20 +329,20 @@ func (tp *twoPC) Abort(p *sim.Proc, env Env, t *Txn, loaded int) {
 	env.Decided(false) //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
 	fanOut(env, t.Cohorts[:loaded], tagAbort)
 	if tp.ackAborts {
-		pending := 0
-		for _, c := range t.Cohorts[:loaded] {
-			if c.abortSent && !c.acked {
-				pending++
-			}
-		}
-		for pending > 0 {
-			if a, ok := t.Mail.Recv(p).(*Ack); ok {
-				if c := t.Cohorts[a.Idx]; !c.acked {
-					c.acked = true
-					pending--
-				}
-			}
+		for awaitingAck(t.Cohorts[:loaded]) {
+			t.park(p)
 		}
 	}
 	t.Meta.State = cc.Finished
+}
+
+// awaitingAck reports whether any cohort was sent an abort that is not
+// acknowledged yet.
+func awaitingAck(cohorts []*Cohort) bool {
+	for _, c := range cohorts {
+		if c.abortSent && !c.acked {
+			return true
+		}
+	}
+	return false
 }

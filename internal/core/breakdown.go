@@ -70,7 +70,7 @@ func (b *breakdown) noteCommit(class int, ld *obs.Ledger, measuring bool) {
 }
 
 // noteAbort counts one aborted attempt under its recorded cause and
-// attributing node. Runs inside abortAttempt, the single funnel every
+// attributing node. Runs inside attemptState.abort, the single funnel every
 // abort resolves through, at the same instant statsCollector.txnAborted
 // tallies the attempt — so summed cause counts equal Result.Aborts.
 //

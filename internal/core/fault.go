@@ -312,10 +312,11 @@ func (f *faultState) sweepRun(c *cohortRun) {
 // DetectMs after its crash: every live attempt touching the dead node is
 // aborted (2PC's termination protocol for dead participants). The crash
 // notice is sent unconditionally — marking the abort is not enough, since
-// a coordinator parked on mail from the dead node has no other way to
-// learn anything (the cohort that would normally wake it died with the
-// node). A stale notice is harmless: the ack wait ignores foreign
-// messages and the mailbox resets with the attempt.
+// a coordinator waiting on a report from the dead node has no other way
+// to learn anything (the cohort that would normally wake it died with the
+// node). A stale notice is harmless: the ack wait ignores it, and a
+// notice held for a wait that never opens is cleared when the attempt's
+// commit.Txn resets.
 func (f *faultState) detect(n int) {
 	m := f.m
 	for i := len(f.liveAttempts) - 1; i >= 0; i-- {

@@ -11,13 +11,6 @@ import (
 	"ddbm/internal/workload"
 )
 
-// The coordinator's abort-demanding mailbox messages satisfy
-// commit.AbortSignal so the protocol layer's vote collection treats them as
-// a failed prepare phase. Pointer receivers: the messages travel by
-// pointer out of the free-listed attempt state.
-func (*msgSelfAbort) CommitAbortSignal()   {}
-func (*msgAbortNotice) CommitAbortSignal() {}
-
 // protocolEnv adapts one transaction attempt's view of the machine to
 // commit.Env: it is the narrow facade through which a commit protocol
 // drives the network, the per-node managers, the log disks, and the
@@ -227,29 +220,36 @@ func (m *Machine) appendDeferred(dst *[]db.PageID, cp *workload.CohortPlan) {
 	}
 }
 
-// abortAttempt resolves a failed attempt: it marks the attempt aborted
-// (with a default reason when no party recorded one) and runs the commit
-// protocol's abort path across the loaded cohorts.
+// abort is the attempt's abort exit: it marks the attempt aborted (with a
+// default reason when no party recorded one), runs the commit protocol's
+// abort path across the first loaded cohorts, and drops the coordinator's
+// reference. It returns Machine.attempt's result: false and the abort
+// reason, read before the release because an attempt with no stragglers
+// recycles inside it.
 //
-//ddbmlint:hotpath abort resolution pinned by TestTxnPathAllocFree
-func (m *Machine) abortAttempt(p *sim.Proc, env *protocolEnv, t *commit.Txn, loaded int) {
-	t.Meta.AbortRequested = true
-	if t.Meta.AbortReason == "" {
-		t.Meta.AbortReason = "aborted by coordinator"
+//ddbmlint:hotpath attempt abort exit pinned by TestTxnPathAllocFree
+func (a *attemptState) abort(p *sim.Proc, loaded int) (bool, string) {
+	m, meta, env := a.m, &a.meta, &a.env
+	meta.AbortRequested = true
+	if meta.AbortReason == "" {
+		meta.AbortReason = "aborted by coordinator"
 	}
 	// Cause attribution mirrors the reason default: a no-op when any party
 	// already recorded a cause (first cause wins).
-	t.Meta.NoteCause(m.hostID, cc.CauseCoordinator)
+	meta.NoteCause(m.hostID, cc.CauseCoordinator)
 	env.phaseAt = m.sim.Now()
-	m.proto.Abort(p, env, t, loaded) //ddbmlint:allow hotpath-alloc Protocol dispatch; the twoPC implementation carries its own hotpath pins
+	m.proto.Abort(p, env, &a.txn, loaded) //ddbmlint:allow hotpath-alloc Protocol dispatch; the twoPC implementation carries its own hotpath pins
 	// Abort resolution: from the abort decision (Decided(false) fires at
 	// the top of the protocol's abort path, advancing phaseAt) to the
 	// protocol's return — the ack-collection wait under the ack-requiring
 	// variants. Nil-safe no-ops when untraced/disabled.
-	env.a.bd.Spend(m.sim.Now(), obs.PhaseResolve)
+	a.bd.Spend(m.sim.Now(), obs.PhaseResolve)
 	m.tracer.Complete(obs.KindCommitPhase, "resolve", m.hostID, env.txn, env.attempt, env.phaseAt)
 	// The cause tally runs here, after the abort protocol resolved: no
 	// simulated time passes between this point and the caller's
 	// txnAborted tally, so the windowed counters agree exactly.
-	m.bd.noteAbort(t.Meta, m.stats.measuring)
+	m.bd.noteAbort(meta, m.stats.measuring)
+	reason := meta.AbortReason
+	a.release()
+	return false, reason
 }

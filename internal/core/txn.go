@@ -9,31 +9,17 @@ import (
 	"ddbm/internal/workload"
 )
 
-// Coordinator mailbox messages for the work phase. Every message a cohort
-// node sends to the coordinator travels through the network with full CPU
-// costs. The messages are embedded in the free-listed attempt state and
-// travel by pointer, so sending one allocates nothing. The commit
-// protocol's own messages (votes, acks) are defined in internal/commit;
-// the abort-demanding messages here implement commit.AbortSignal (see
-// protocol.go).
-type (
-	msgCohortDone struct{ idx int }
-	msgSelfAbort  struct {
-		idx    int
-		reason string
-	}
-	msgAbortNotice struct{ reason string }
-)
-
-// Message tags for the typed network envelopes of the work phase. Tag
-// namespaces are per-handler: cohortRun handles the cohort tags,
-// attemptState handles the notice tags.
+// Message tags for the typed network envelopes of the work phase. Every
+// message a cohort node sends to the coordinator travels through the
+// network with full CPU costs; its delivery settles the coordinator's wait
+// on the attempt's commit.Txn (Report or Fail). Tag namespaces are
+// per-handler: cohortRun handles the cohort tags, attemptState handles the
+// notice tag.
 const (
 	tagCohortLoad      = iota // host → node: pay startup CPU, spawn the cohort process
-	tagCohortDone             // node → host: deliver &c.doneMsg to the coordinator
-	tagCohortSelfAbort        // node → host: deliver &c.selfAbortMsg to the coordinator
-	tagAbortNotice            // node → host: deliver &a.abortNotice to the coordinator
-	tagCrashNotice            // host → host: deliver &a.crashNotice (failure detection)
+	tagCohortDone             // node → host: the cohort's work phase is done
+	tagCohortSelfAbort        // node → host: concurrency control rejected the cohort
+	tagAbortNotice            // → host: a manager or the failure detector demands the abort
 	tagCohortInquiry          // node → host: recovery asks the coordinator for the outcome
 	tagCohortDecision         // host → node: the coordinator's answer to an inquiry
 )
@@ -54,18 +40,17 @@ const (
 )
 
 // attemptState is the complete per-attempt transaction state: the shared
-// metadata, the coordinator's mailbox, the protocol-layer Txn and Env, and
-// the cohort runs. Attempt states are free-listed on the Machine and
-// recycled by quiescence: every in-flight reference to the attempt — a
-// message envelope, a log-force continuation, a running cohort process —
-// holds one count, and the state returns to the pool only when the count
-// drains to zero, so stragglers (late votes after an early abort return,
+// metadata, the protocol-layer Txn (which holds the coordinator's wait)
+// and Env, and the cohort runs. Attempt states are free-listed on the
+// Machine and recycled by quiescence: every in-flight reference to the
+// attempt — a message envelope, a log-force continuation, a running cohort
+// process — holds one count, and the state returns to the pool only when
+// the count drains to zero, so stragglers (late votes after an early abort return,
 // phase-two deliveries after Commit returns, cohorts still winding down
 // after an abort) never touch recycled memory.
 type attemptState struct {
 	m    *Machine
 	meta cc.TxnMeta
-	mail *sim.Mailbox
 	env  protocolEnv
 	txn  commit.Txn
 	runs []*cohortRun
@@ -78,16 +63,11 @@ type attemptState struct {
 	// is off): the coordinator-timeline account this attempt spends into.
 	bd *obs.Ledger
 
-	abortNotice msgAbortNotice
-	onAbortFn   func(fromNode int, reason string) // a.onAbort, bound once
+	onAbortFn func(fromNode int, reason string) // a.onAbort, bound once
 
-	// crashNotice is the failure detector's abort demand (distinct from
-	// abortNotice so the two cannot alias when a manager-demanded abort
-	// and a crash detection race); liveIdx is the attempt's slot in the
-	// fault layer's live-attempt registry. Maintained only when faults
-	// are on.
-	crashNotice msgAbortNotice
-	liveIdx     int
+	// liveIdx is the attempt's slot in the fault layer's live-attempt
+	// registry. Maintained only when faults are on.
+	liveIdx int
 }
 
 // cohortRun is the coordinator's handle on one cohort of one attempt: the
@@ -105,9 +85,6 @@ type cohortRun struct {
 
 	a *attemptState
 	m *Machine
-
-	doneMsg      msgCohortDone
-	selfAbortMsg msgSelfAbort
 
 	spawnFn func()            // c.spawn, bound once
 	runFn   func(p *sim.Proc) // c.run, bound once
@@ -135,8 +112,8 @@ type cohortRun struct {
 
 // acquireAttempt takes an attempt state from the free list (or grows the
 // pool) and resets it for one attempt: fresh metadata with a new attempt
-// timestamp, an empty mailbox and cohort list, and one reference held by
-// the coordinator.
+// timestamp, an empty cohort list and coordinator wait, and one reference
+// held by the coordinator.
 //
 //ddbmlint:hotpath per-attempt state acquisition pinned by TestTxnPathAllocFree
 func (m *Machine) acquireAttempt(id, origTS int64, attemptNo int, plan *workload.TxnPlan, ld *obs.Ledger) *attemptState {
@@ -147,7 +124,6 @@ func (m *Machine) acquireAttempt(id, origTS int64, attemptNo int, plan *workload
 		m.attemptFree = m.attemptFree[:k-1]
 	} else {
 		a = &attemptState{m: m} //ddbmlint:allow hotpath-alloc pool growth: one state per high-water concurrent attempt
-		a.mail = m.sim.NewMailbox()
 		a.onAbortFn = a.onAbort
 		a.env.m = m
 		a.env.a = a
@@ -158,13 +134,12 @@ func (m *Machine) acquireAttempt(id, origTS int64, attemptNo int, plan *workload
 	m.gen.Retain(plan)
 	a.refs = 1
 	if m.ft != nil {
-		a.crashNotice.reason = "node crash"
 		m.ft.attemptLive(a)
 	}
 	a.env.txn, a.env.attempt, a.env.phaseAt = id, attemptNo, 0
 	a.env.prepared = false
 	a.env.runs = nil
-	a.txn.Reset(&a.meta, a.mail)
+	a.txn.Reset(&a.meta)
 	a.runs = a.runs[:0]
 	return a
 }
@@ -175,9 +150,9 @@ func (m *Machine) acquireAttempt(id, origTS int64, attemptNo int, plan *workload
 func (a *attemptState) retain() { a.refs++ }
 
 // release drops one reference; at zero the attempt has quiesced — no
-// envelope, continuation or process can reach it — so its mailbox is
-// cleared, its plan reference returned to the generator, and the state
-// pushed back on the machine's free list.
+// envelope, continuation or process can reach it — so its plan reference
+// is returned to the generator and the state pushed back on the machine's
+// free list.
 //
 //ddbmlint:hotpath reference count on every attempt message
 func (a *attemptState) release() {
@@ -188,7 +163,6 @@ func (a *attemptState) release() {
 	if a.refs < 0 {
 		panic("core: attempt reference count underflow")
 	}
-	a.mail.Reset()
 	a.m.gen.Release(a.plan)
 	a.plan = nil
 	if a.m.ft != nil {
@@ -199,26 +173,20 @@ func (a *attemptState) release() {
 
 // onAbort is the pre-bound cc.TxnMeta.OnAbort hook: a manager at fromNode
 // demands the attempt abort, and the notice travels to the coordinator
-// with full message costs. RequestAbort fires it at most once per attempt,
-// so the embedded notice cannot alias itself.
+// with full message costs. The reason is already recorded on the metadata.
 //
 //ddbmlint:hotpath wound/deadlock abort notification
-func (a *attemptState) onAbort(fromNode int, reason string) {
-	a.abortNotice.reason = reason
+func (a *attemptState) onAbort(fromNode int, _ string) {
 	a.retain()
 	a.m.net.Send(fromNode, a.m.hostID, a, tagAbortNotice)
 }
 
-// HandleMsg delivers the attempt's abort or crash notice into the
-// coordinator's mailbox.
+// HandleMsg delivers the attempt's abort or crash notice: it fails the
+// coordinator's wait.
 //
 //ddbmlint:hotpath abort-notice delivery
-func (a *attemptState) HandleMsg(tag int) {
-	if tag == tagCrashNotice {
-		a.mail.Send(&a.crashNotice)
-	} else {
-		a.mail.Send(&a.abortNotice)
-	}
+func (a *attemptState) HandleMsg(int) {
+	a.txn.Fail(-1)
 	a.release()
 }
 
@@ -233,7 +201,7 @@ func (a *attemptState) MsgDropped(int) { a.release() }
 // is a host-local self-send, exempt from fault handling.
 func (a *attemptState) sendCrashNotice() {
 	a.retain()
-	a.m.net.Send(a.m.hostID, a.m.hostID, a, tagCrashNotice)
+	a.m.net.Send(a.m.hostID, a.m.hostID, a, tagAbortNotice)
 }
 
 // addCohort appends one cohort run to the attempt, reusing the pooled
@@ -252,8 +220,6 @@ func (a *attemptState) addCohort(cp *workload.CohortPlan, attemptNo int) *cohort
 	}
 	c := a.runs[n]
 	c.idx, c.attempt, c.plan = n, attemptNo, cp
-	c.doneMsg = msgCohortDone{idx: n}
-	c.selfAbortMsg = msgSelfAbort{idx: n, reason: "access rejected"}
 	c.reads = c.reads[:0]
 	c.bd = nil
 	if a.bd != nil {
@@ -372,9 +338,7 @@ func (m *Machine) runTransaction(p *sim.Proc, plan *workload.TxnPlan, ld *obs.Le
 // attempt executes one try of the transaction: load cohorts (sequentially
 // or in parallel), wait for their work phases, then hand the attempt to
 // the configured commit protocol (centralized 2PC by default). It reports
-// whether the attempt committed and, if not, why it aborted. The abort
-// reason is captured before the coordinator's reference is released: an
-// attempt with no stragglers recycles inside release.
+// whether the attempt committed and, if not, why it aborted.
 //
 //ddbmlint:hotpath attempt execution pinned by TestTxnPathAllocFree
 func (m *Machine) attempt(p *sim.Proc, id, origTS int64, attemptNo int, plan *workload.TxnPlan, ld *obs.Ledger) (bool, string) {
@@ -390,7 +354,6 @@ func (m *Machine) attempt(p *sim.Proc, id, origTS int64, attemptNo int, plan *wo
 		a.addCohort(&plan.Cohorts[i], attemptNo)
 	}
 	a.env.runs = a.runs
-	t, env := &a.txn, &a.env
 
 	loaded := 0
 	if cfg.ExecPattern == Sequential || plan.Sequential {
@@ -400,20 +363,14 @@ func (m *Machine) attempt(p *sim.Proc, id, origTS int64, attemptNo int, plan *wo
 				// aborts instead of loading into the void. Re-checked per
 				// load — a node can crash while an earlier cohort runs.
 				m.ft.markCrashAbort(&a.meta)
-				m.abortAttempt(p, env, t, loaded)
-				reason := a.meta.AbortReason
-				a.release()
-				return false, reason
+				return a.abort(p, loaded)
 			}
 			m.loadCohort(c)
 			loaded++
-			ok, crit := m.awaitDone(p, a.mail, 1)
+			ok, crit := a.txn.Collect(p, 1)
 			a.foldWork(crit)
 			if !ok {
-				m.abortAttempt(p, env, t, loaded)
-				reason := a.meta.AbortReason
-				a.release()
-				return false, reason
+				return a.abort(p, loaded)
 			}
 		}
 	} else {
@@ -422,69 +379,33 @@ func (m *Machine) attempt(p *sim.Proc, id, origTS int64, attemptNo int, plan *wo
 		// send below.
 		if m.ft != nil && m.ft.anyPlanNodeDown(a) {
 			m.ft.markCrashAbort(&a.meta)
-			m.abortAttempt(p, env, t, 0)
-			reason := a.meta.AbortReason
-			a.release()
-			return false, reason
+			return a.abort(p, 0)
 		}
 		for _, c := range a.runs {
 			m.loadCohort(c)
 			loaded++
 		}
-		ok, crit := m.awaitDone(p, a.mail, loaded)
+		ok, crit := a.txn.Collect(p, loaded)
 		a.foldWork(crit)
 		if !ok {
-			m.abortAttempt(p, env, t, loaded)
-			reason := a.meta.AbortReason
-			a.release()
-			return false, reason
+			return a.abort(p, loaded)
 		}
 	}
 	if a.meta.AbortRequested {
-		m.abortAttempt(p, env, t, len(a.runs))
-		reason := a.meta.AbortReason
-		a.release()
-		return false, reason
+		return a.abort(p, len(a.runs))
 	}
 
-	env.phaseAt = m.sim.Now()
-	if !m.proto.Commit(p, env, t) { //ddbmlint:allow hotpath-alloc Protocol dispatch; the twoPC implementation carries its own hotpath pins
-		m.abortAttempt(p, env, t, len(a.runs))
-		reason := a.meta.AbortReason
-		a.release()
-		return false, reason
+	a.env.phaseAt = m.sim.Now()
+	if !m.proto.Commit(p, &a.env, &a.txn) { //ddbmlint:allow hotpath-alloc Protocol dispatch; the twoPC implementation carries its own hotpath pins
+		return a.abort(p, len(a.runs))
 	}
 	// Commit resolution: from the logged decision (Decided advanced the
 	// ledger cursor and phaseAt) to the protocol's return — zero for the
 	// asynchronous phase-two fan-out. Nil-safe no-ops when disabled.
 	a.bd.Spend(m.sim.Now(), obs.PhaseResolve)
-	m.tracer.Complete(obs.KindCommitPhase, "resolve", m.hostID, id, attemptNo, env.phaseAt)
+	m.tracer.Complete(obs.KindCommitPhase, "resolve", m.hostID, id, attemptNo, a.env.phaseAt)
 	a.release()
 	return true, ""
-}
-
-// awaitDone consumes coordinator mail until n cohorts report work-phase
-// completion; ok turns false as soon as any abort signal arrives. crit
-// identifies the cohort whose message ended the wait — the last done
-// report (the critical cohort: the mailbox is FIFO in delivery order, so
-// the n-th consumed done is the latest delivered) or the self-aborting
-// cohort — or -1 when an attempt-level abort notice ended it.
-//
-//ddbmlint:hotpath coordinator mail loop pinned by TestTxnPathAllocFree
-func (m *Machine) awaitDone(p *sim.Proc, mail *sim.Mailbox, n int) (ok bool, crit int) {
-	crit = -1
-	for done := 0; done < n; {
-		switch msg := mail.Recv(p).(type) {
-		case *msgCohortDone:
-			done++
-			crit = msg.idx
-		case *msgSelfAbort:
-			return false, msg.idx
-		case *msgAbortNotice:
-			return false, -1
-		}
-	}
-	return true, crit
 }
 
 // foldWork merges the reporting cohort's breakdown mini-ledger into the
@@ -520,7 +441,7 @@ func (m *Machine) loadCohort(c *cohortRun) {
 
 // HandleMsg dispatches one delivered work-phase envelope for this cohort:
 // the load step at its node, or its completion/self-abort report into the
-// coordinator's mailbox at the host. Host-bound deliveries release the
+// coordinator's wait at the host. Host-bound deliveries release the
 // reference their envelope held; the load step passes its reference to the
 // cohort process.
 //
@@ -535,11 +456,11 @@ func (c *cohortRun) HandleMsg(tag int) {
 		c.m.cpus[c.meta.Node].UseAsync(c.m.cfg.InstPerStartup, c.spawnFn)
 	case tagCohortDone:
 		c.bd.Spend(c.m.sim.Now(), obs.PhaseNetTransit)
-		c.a.mail.Send(&c.doneMsg)
+		c.a.txn.Report(c.idx)
 		c.a.release()
 	case tagCohortSelfAbort:
 		c.bd.Spend(c.m.sim.Now(), obs.PhaseNetTransit)
-		c.a.mail.Send(&c.selfAbortMsg)
+		c.a.txn.Fail(c.idx)
 		c.a.release()
 	case tagCohortInquiry:
 		// At the host: a restarted node asks for this in-doubt cohort's

@@ -8,7 +8,7 @@ import (
 // These tests pin the kernel's steady-state allocation counts. They are the
 // regression guard for the allocation-free hot path: a change that
 // reintroduces a per-event or per-switch allocation (a closure in
-// Delay/Resume, losing the event free-list, a mailbox that reallocates)
+// Delay/Resume, losing the event free-list)
 // fails here before it shows up as a throughput regression.
 
 // TestScheduleFireAllocFree: one schedule→dispatch cycle of a callback
@@ -59,7 +59,7 @@ func TestDelayAllocFree(t *testing.T) {
 }
 
 // TestSuspendResumeAllocFree: the Suspend/Resume rendezvous — the path
-// mailbox wakeups ride — allocates nothing per cycle.
+// every message wait rides — allocates nothing per cycle.
 func TestSuspendResumeAllocFree(t *testing.T) {
 	s := New(1)
 	allocs := math.NaN()
@@ -80,52 +80,5 @@ func TestSuspendResumeAllocFree(t *testing.T) {
 	s.Run(math.Inf(1))
 	if allocs != 0 {
 		t.Errorf("Resume+Delay cycle allocates %v objects, want 0", allocs)
-	}
-}
-
-// TestMailboxSteadyStateAllocFree: once the ring is warm, send+receive of
-// an already-boxed message allocates nothing (the old slide-forward slice
-// reallocated every few operations).
-func TestMailboxSteadyStateAllocFree(t *testing.T) {
-	s := New(1)
-	m := s.NewMailbox()
-	var msg any = "payload"
-	for i := 0; i < 4; i++ {
-		m.Send(msg)
-	}
-	for {
-		if _, ok := m.TryRecv(); !ok {
-			break
-		}
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		m.Send(msg)
-		if _, ok := m.TryRecv(); !ok {
-			t.Fatal("message lost")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("mailbox send+recv allocates %v objects per op, want 0", allocs)
-	}
-}
-
-// TestMailboxBacklogAllocAmortized: a mailbox that oscillates between empty
-// and a bounded backlog settles into its ring and stops allocating.
-func TestMailboxBacklogAllocAmortized(t *testing.T) {
-	s := New(1)
-	m := s.NewMailbox()
-	var msg any = 1
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 16; i++ {
-			m.Send(msg)
-		}
-		for i := 0; i < 16; i++ {
-			if _, ok := m.TryRecv(); !ok {
-				t.Fatal("message lost")
-			}
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("warm 16-deep mailbox burst allocates %v objects per burst, want 0", allocs)
 	}
 }

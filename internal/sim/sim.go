@@ -7,7 +7,7 @@
 // A Sim owns a virtual clock and an event queue. Simulation "processes" are
 // coroutines that run strictly one at a time: the scheduler switches into a
 // process and regains control when the process either finishes or blocks
-// itself (Delay, Suspend, mailbox receive). Events scheduled for the same
+// itself (Delay or Suspend). Events scheduled for the same
 // instant fire in FIFO order, and all randomness flows through a single
 // seeded source, so every run is fully deterministic.
 //
@@ -20,9 +20,13 @@
 //
 // The kernel hot path is allocation-free in steady state: fired and
 // canceled callback events are recycled through a free-list, and every
-// process embeds its own resume event, so Delay/Resume/SpawnAt and mailbox
-// wakeups neither allocate an Event nor a closure. See DESIGN.md ("Kernel
+// process embeds its own resume event, so Delay, Resume and SpawnAt
+// neither allocate an Event nor a closure. See DESIGN.md ("Kernel
 // performance") for the invariants this preserves.
+//
+// There is no message queue: a process that waits for messages parks in
+// Suspend on state it owns, and the event callback that delivers each
+// message updates that state and calls Resume (see commit.Txn.Collect).
 package sim
 
 import (
@@ -168,7 +172,7 @@ func (s *Sim) After(d Time, fn func()) *Event {
 }
 
 // scheduleProc queues p's embedded resume event: the closure- and
-// allocation-free path behind Delay, Resume, SpawnAt and mailbox wakeups.
+// allocation-free path behind Delay, Resume and SpawnAt.
 // A process blocks in at most one place, so one embedded event suffices;
 // scheduling it twice is a kernel-usage bug and panics loudly instead of
 // corrupting the queue.
@@ -449,7 +453,8 @@ func (p *Proc) Suspend() {
 }
 
 // Resume schedules p to continue at the current simulated time. It must only
-// be called for a process parked in Suspend (or a mailbox receive).
+// be called for a process parked in Suspend, typically by the event
+// callback that delivers what the process waits for.
 func (p *Proc) Resume() {
 	p.sim.scheduleProc(p.sim.now, p)
 }

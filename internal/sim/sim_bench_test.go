@@ -30,22 +30,3 @@ func BenchmarkProcessSwitch(b *testing.B) {
 	b.ResetTimer()
 	s.Run(Time(b.N) + 2)
 }
-
-// BenchmarkMailbox measures send+recv round trips between two processes.
-func BenchmarkMailbox(b *testing.B) {
-	s := New(1)
-	m := s.NewMailbox()
-	s.Spawn("rx", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			m.Recv(p)
-		}
-	})
-	s.Spawn("tx", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			m.Send(i)
-			p.Delay(1)
-		}
-	})
-	b.ResetTimer()
-	s.Run(Time(b.N) + 2)
-}
