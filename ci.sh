@@ -90,12 +90,13 @@ echo "== commit-protocol sweep smoke"
 go run ./cmd/experiments -fig cps -scale 0.02 -q
 
 echo "== trace smoke"
-# A short traced + probed run must export a structurally valid Chrome
+# A short traced + probed run at the default think time 0 (restarts and
+# straggling cohorts included) must export a structurally valid Chrome
 # trace: JSON parses, spans nest, cohort/commit-phase spans sit under
 # their attempt. tracecheck exits non-zero on any violation.
 tracedir=$(mktemp -d)
 trap 'rm -rf "$tracedir"' EXIT
-go run ./cmd/ddbsim -simtime 30 -warmup 5 -think 4 \
+go run ./cmd/ddbsim -simtime 30 -warmup 5 \
   -trace-out "$tracedir/smoke.json" -probe-interval 100 >/dev/null
 go run ./cmd/tracecheck "$tracedir/smoke.json"
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ddbm/internal/cc"
+	"ddbm/internal/cc/cctest"
 	"ddbm/internal/sim"
 )
 
@@ -16,8 +17,7 @@ func TestMultipleReadersBlockOnSamePendingWrite(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		r := newCo(int64(i+2), int64(20+i))
 		s.Spawn("reader", func(p *sim.Proc) {
-			r.Proc = p
-			if m.Access(r, pg(1), false) == cc.Granted {
+			if cctest.Await(p, r, m.Access(r, pg(1), false)) == cc.Granted {
 				granted++
 			}
 		})
@@ -46,8 +46,7 @@ func TestReaderBlocksAcrossChainOfPendingWrites(t *testing.T) {
 	m.Access(w10, pg(1), true)
 	var grantedAt sim.Time
 	s.Spawn("reader", func(p *sim.Proc) {
-		r20.Proc = p
-		if m.Access(r20, pg(1), false) == cc.Granted {
+		if cctest.Await(p, r20, m.Access(r20, pg(1), false)) == cc.Granted {
 			grantedAt = s.Now()
 		}
 	})
@@ -79,13 +78,12 @@ func TestWriteBetweenBlockedReaderAndItsWake(t *testing.T) {
 	var grantedAt sim.Time
 	var out cc.Outcome
 	s.Spawn("reader", func(p *sim.Proc) {
-		r20.Proc = p
-		out = m.Access(r20, pg(1), false)
+		out = cctest.Await(p, r20, m.Access(r20, pg(1), false))
 		grantedAt = s.Now()
 	})
 	s.Spawn("w15", func(p *sim.Proc) {
 		p.Delay(2)
-		if m.Access(w15, pg(1), true) != cc.Granted {
+		if cctest.Await(p, w15, m.Access(w15, pg(1), true)) != cc.Granted {
 			t.Error("w15 rejected")
 		}
 	})
@@ -116,8 +114,7 @@ func TestWriteRejectedWhileReaderBlocked(t *testing.T) {
 	w10, r20 := newCo(1, 10), newCo(2, 20)
 	m.Access(w10, pg(1), true)
 	s.Spawn("reader", func(p *sim.Proc) {
-		r20.Proc = p
-		m.Access(r20, pg(1), false)
+		cctest.Await(p, r20, m.Access(r20, pg(1), false))
 	})
 	s.Run(10)
 	if m.page(pg(1)).rts != 0 {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ddbm/internal/cc"
+	"ddbm/internal/cc/cctest"
 	"ddbm/internal/db"
 	"ddbm/internal/sim"
 )
@@ -124,8 +125,7 @@ func TestReadBlocksOnEarlierPendingWrite(t *testing.T) {
 	var out cc.Outcome
 	var at sim.Time
 	s.Spawn("reader", func(p *sim.Proc) {
-		r.Proc = p
-		out = m.Access(r, pg(1), false) // must wait for the pending write
+		out = cctest.Await(p, r, m.Access(r, pg(1), false)) // must wait for the pending write
 		at = s.Now()
 	})
 	s.Spawn("committer", func(p *sim.Proc) {
@@ -162,8 +162,7 @@ func TestBlockedReadDeniedWhenVersionPasses(t *testing.T) {
 	m.Access(w25, pg(1), true)
 	var out cc.Outcome
 	s.Spawn("reader", func(p *sim.Proc) {
-		r20.Proc = p
-		out = m.Access(r20, pg(1), false)
+		out = cctest.Await(p, r20, m.Access(r20, pg(1), false))
 	})
 	s.Spawn("committer", func(p *sim.Proc) {
 		p.Delay(5)
@@ -185,8 +184,7 @@ func TestAbortDiscardsPendingAndUnblocks(t *testing.T) {
 	var out cc.Outcome
 	var at sim.Time
 	s.Spawn("reader", func(p *sim.Proc) {
-		r.Proc = p
-		out = m.Access(r, pg(1), false)
+		out = cctest.Await(p, r, m.Access(r, pg(1), false))
 		at = s.Now()
 	})
 	s.Spawn("aborter", func(p *sim.Proc) {
@@ -213,8 +211,7 @@ func TestAbortDeniesOwnBlockedRead(t *testing.T) {
 	m.Access(w, pg(1), true)
 	var out cc.Outcome
 	s.Spawn("reader", func(p *sim.Proc) {
-		r.Proc = p
-		out = m.Access(r, pg(1), false)
+		out = cctest.Await(p, r, m.Access(r, pg(1), false))
 	})
 	s.Spawn("aborter", func(p *sim.Proc) {
 		p.Delay(3)

@@ -3,6 +3,10 @@
 // the transaction/cohort metadata the algorithms operate on, and shared
 // machinery (lock table, waits-for graphs, cycle detection) used by the
 // locking algorithms.
+//
+// A request that must wait does not park anything: Access returns Blocked,
+// and the manager that later grants or denies it calls the cohort's
+// pre-bound Wake, which schedules the owner's continuation.
 package cc
 
 import (
@@ -247,11 +251,17 @@ const (
 	// Aborted: the transaction must abort (either this access was rejected
 	// or the attempt was aborted while the cohort waited).
 	Aborted
+	// Blocked: the cohort is waiting. Grant or Deny later calls its Wake,
+	// and the owner reads the verdict with Verdict.
+	Blocked
 )
 
 func (o Outcome) String() string {
-	if o == Granted {
+	switch o {
+	case Granted:
 		return "granted"
+	case Blocked:
+		return "blocked"
 	}
 	return "aborted"
 }
@@ -260,13 +270,16 @@ func (o Outcome) String() string {
 // that node's concurrency control manager.
 type CohortMeta struct {
 	Txn  *TxnMeta
-	Proc *sim.Proc
 	Node int
+	// Wake is the owner's pre-bound continuation hook: Grant or Deny calls
+	// it when the verdict for a waiting cohort arrives. It must schedule
+	// the owner's continuation, never run it: a verdict is often issued in
+	// the middle of another cohort's lock release.
+	Wake func()
 
 	waiting     bool
-	resolved    bool // verdict arrived before the cohort parked
+	resolved    bool // verdict arrived before the cohort waited
 	waitOutcome Outcome
-	blockedAt   sim.Time
 
 	// queuedAt/queued and heldLocks are the cohort's slots in its node's
 	// lock table (the page its queued request waits on, and its held set).
@@ -282,8 +295,9 @@ type CohortMeta struct {
 	heldLocks *cohortLocks
 
 	// OnBlocked, if set, observes every blocking episode's duration
-	// (the paper's "average blocking time" metric for 2PL). It receives
-	// the cohort itself so the observer can read per-episode attribution
+	// (the paper's "average blocking time" metric for 2PL). The owner
+	// reports each episode when its continuation runs. It receives the
+	// cohort itself so the observer can read per-episode attribution
 	// flags (BlockedInDoubt) without a per-cohort closure.
 	OnBlocked func(co *CohortMeta, d sim.Time)
 
@@ -297,65 +311,66 @@ type CohortMeta struct {
 }
 
 // CrashReset clears the wait-state a cohort held when its node crashed, so
-// a later Deny/Grant from sweep-driven cleanup cannot resume a process
-// that no longer exists. The in-doubt marker survives: it is the one piece
-// of crash state that must outlive the process.
+// a later Deny/Grant from sweep-driven cleanup cannot wake a continuation
+// that was dropped. The in-doubt marker survives: it is the one piece of
+// crash state that must outlive the cohort's work.
 func (c *CohortMeta) CrashReset() {
 	c.waiting = false
 	c.resolved = false
 	c.BlockedInDoubt = false
 }
 
-// Block parks the cohort's process until Grant or Deny, returning the
-// verdict. It must be called from the cohort's own process. If the verdict
-// arrived before the cohort parked (a queued request can be granted
-// synchronously when its blocker releases), Block returns immediately.
+// Block ends a manager's Access on a request that cannot be granted yet.
+// If the verdict already arrived (a queued request can be granted
+// synchronously when its blocker releases), Block returns it. Otherwise
+// the cohort is marked waiting and Block returns Blocked: Grant or Deny
+// will call Wake.
 func (c *CohortMeta) Block() Outcome {
 	if c.resolved {
 		c.resolved = false
 		return c.waitOutcome
 	}
 	c.waiting = true
-	c.blockedAt = c.Proc.Sim().Now()
-	c.Proc.Suspend()
-	if c.OnBlocked != nil {
-		c.OnBlocked(c, c.Proc.Sim().Now()-c.blockedAt)
-	}
-	return c.waitOutcome
+	return Blocked
 }
 
-// Waiting reports whether the cohort is parked in Block.
+// Verdict returns the outcome the last Grant or Deny delivered: what a
+// woken owner reads when its continuation runs.
+func (c *CohortMeta) Verdict() Outcome { return c.waitOutcome }
+
+// Waiting reports whether the cohort waits for a verdict.
 func (c *CohortMeta) Waiting() bool { return c.waiting }
 
-// Grant resumes a blocked cohort with a granted access.
+// Grant wakes a waiting cohort with a granted access.
 func (c *CohortMeta) Grant() { c.release(Granted) }
 
-// Deny resumes a blocked cohort telling it the attempt is aborted.
+// Deny wakes a waiting cohort telling it the attempt is aborted.
 func (c *CohortMeta) Deny() { c.release(Aborted) }
 
 func (c *CohortMeta) release(o Outcome) {
 	if !c.waiting {
-		// The cohort has not parked yet: record the verdict for Block.
+		// The cohort has not waited yet: record the verdict for Block.
 		c.resolved = true
 		c.waitOutcome = o
 		return
 	}
 	c.waiting = false
 	c.waitOutcome = o
-	c.Proc.Resume()
+	c.Wake() //ddbmlint:allow hotpath-alloc pre-bound owner continuation; the core cohort's wake is pinned by TestTxnPathAllocFree
 }
 
 // Manager is one node's concurrency control manager. All methods run in
-// simulation context (from a process or an event callback); Access may block
-// the calling cohort's process.
+// simulation context (from a process or an event callback). Access never
+// waits itself: a request that must wait returns Blocked, and the verdict
+// arrives later through the cohort's Wake.
 type Manager interface {
 	// Kind identifies the algorithm.
 	Kind() Kind
 	// Access requests permission to read (write=false) or write (write=true)
 	// a page stored at this node. For updated pages the transaction manager
 	// first requests read access and later write access on the same page,
-	// modelling read-lock-then-upgrade. Access blocks inside as needed and
-	// returns Granted or Aborted.
+	// modelling read-lock-then-upgrade. Access returns Granted, Aborted,
+	// or Blocked (see CohortMeta.Block).
 	Access(co *CohortMeta, page db.PageID, write bool) Outcome
 	// Prepare runs the local first phase of commit for the cohort and
 	// returns its vote. For OPT this performs local certification against
@@ -373,9 +388,10 @@ type Manager interface {
 // DeferredWriter is implemented by managers that support deferring write
 // permission requests (remote-copy write locks) to the first phase of the
 // commit protocol, per [Care89]. PrepareDeferred acquires write permission
-// on each page — blocking in a fresh process as needed — and then reports
-// whether the cohort can vote yes. It must tolerate the transaction being
-// aborted while it waits (reporting false).
+// on each page — waiting as needed, with its own continuation as the
+// cohort's Wake — and then reports whether the cohort can vote yes. It
+// must tolerate the transaction being aborted while it waits (reporting
+// false).
 type DeferredWriter interface {
 	PrepareDeferred(co *CohortMeta, pages []db.PageID, done func(ok bool))
 }
@@ -402,7 +418,7 @@ type GlobalEnv interface {
 type Algorithm interface {
 	Kind() Kind
 	NewManager(env Env) Manager
-	// StartGlobal launches algorithm-global processes (e.g. the Snoop
+	// StartGlobal launches algorithm-global machinery (e.g. the Snoop
 	// deadlock detector). Called once after all managers exist; may be a
 	// no-op.
 	StartGlobal(g GlobalEnv)

@@ -108,29 +108,52 @@ func TestAbortable(t *testing.T) {
 	}
 }
 
+// await drives Access-style waits from a test process: it stands in for
+// the owner's continuation (parks on Blocked, resumes on Wake, reports the
+// episode to OnBlocked) and returns the final verdict. The manager
+// packages use cctest.Await, which this package cannot import.
+func await(p *sim.Proc, co *CohortMeta, out Outcome) Outcome {
+	if out != Blocked {
+		return out
+	}
+	at := p.Sim().Now()
+	co.Wake = p.Resume
+	p.Suspend()
+	if co.OnBlocked != nil {
+		co.OnBlocked(co, p.Sim().Now()-at)
+	}
+	return co.Verdict()
+}
+
+// wakeCounter returns a cohort whose Wake schedules one continuation event
+// that counts its firings, the way an owner's pre-bound wake does.
+func wakeCounter(s *sim.Sim) (*CohortMeta, *int) {
+	fired := 0
+	co := &CohortMeta{Txn: &TxnMeta{ID: 1}}
+	co.Wake = func() { s.Schedule(s.Now(), func() { fired++ }) }
+	return co, &fired
+}
+
 func TestCohortBlockGrant(t *testing.T) {
 	s := sim.New(1)
-	var co *CohortMeta
-	var out Outcome
-	var blockedFor sim.Time
-	s.Spawn("cohort", func(p *sim.Proc) {
-		co = &CohortMeta{Txn: &TxnMeta{ID: 1}, Proc: p,
-			OnBlocked: func(_ *CohortMeta, d sim.Time) { blockedFor = d }}
-		out = co.Block()
-	})
-	s.Spawn("granter", func(p *sim.Proc) {
-		p.Delay(15)
-		if !co.Waiting() {
-			t.Error("cohort not marked waiting")
-		}
-		co.Grant()
-	})
-	s.Run(100)
-	if out != Granted {
-		t.Errorf("outcome %v, want granted", out)
+	co, fired := wakeCounter(s)
+	if out := co.Block(); out != Blocked {
+		t.Fatalf("Block with no verdict returned %v, want blocked", out)
 	}
-	if blockedFor != 15 {
-		t.Errorf("blocking episode %v ms, want 15", blockedFor)
+	if !co.Waiting() {
+		t.Error("cohort not marked waiting")
+	}
+	s.Schedule(15, co.Grant)
+	s.Run(100)
+	if *fired != 1 {
+		t.Errorf("grant after waiting ran %d continuations, want exactly 1", *fired)
+	}
+	// One event for the grant, one for the continuation it scheduled.
+	if n := s.EventsDispatched(); n != 2 {
+		t.Errorf("%d events dispatched, want 2", n)
+	}
+	if co.Verdict() != Granted {
+		t.Errorf("verdict %v, want granted", co.Verdict())
 	}
 	if co.Waiting() {
 		t.Error("cohort still waiting after grant")
@@ -139,15 +162,11 @@ func TestCohortBlockGrant(t *testing.T) {
 
 func TestCohortBlockDeny(t *testing.T) {
 	s := sim.New(1)
-	var co *CohortMeta
 	var out Outcome
 	s.Spawn("cohort", func(p *sim.Proc) {
-		co = &CohortMeta{Txn: &TxnMeta{ID: 1}, Proc: p}
-		out = co.Block()
-	})
-	s.Spawn("denier", func(p *sim.Proc) {
-		p.Delay(5)
-		co.Deny()
+		co := &CohortMeta{Txn: &TxnMeta{ID: 1}}
+		s.Schedule(5, co.Deny)
+		out = await(p, co, co.Block())
 	})
 	s.Run(100)
 	if out != Aborted {
@@ -157,42 +176,56 @@ func TestCohortBlockDeny(t *testing.T) {
 
 func TestGrantBeforeBlockPreResolves(t *testing.T) {
 	// A queued request can be granted synchronously (its blocker releases
-	// before the requester parks); Block must then return immediately.
+	// before the requester waits); Block must then return the verdict
+	// without an event.
 	s := sim.New(1)
-	var out Outcome
-	var tookTime bool
-	s.Spawn("cohort", func(p *sim.Proc) {
-		co := &CohortMeta{Txn: &TxnMeta{ID: 1}, Proc: p}
-		co.Grant() // verdict arrives before Block
-		start := s.Now()
-		out = co.Block()
-		tookTime = s.Now() != start
-	})
-	s.Run(10)
-	if out != Granted {
+	co, fired := wakeCounter(s)
+	co.Grant() // verdict arrives before Block
+	if out := co.Block(); out != Granted {
 		t.Errorf("outcome %v, want granted", out)
 	}
-	if tookTime {
-		t.Error("pre-resolved Block consumed simulated time")
+	if co.Waiting() {
+		t.Error("pre-resolved Block left the cohort waiting")
+	}
+	s.Run(10)
+	if *fired != 0 || s.EventsDispatched() != 0 {
+		t.Errorf("pre-resolved Block woke %d continuations over %d events, want none", *fired, s.EventsDispatched())
 	}
 }
 
 func TestDenyBeforeBlockPreResolves(t *testing.T) {
 	s := sim.New(1)
-	var out Outcome
-	s.Spawn("cohort", func(p *sim.Proc) {
-		co := &CohortMeta{Txn: &TxnMeta{ID: 1}, Proc: p}
-		co.Deny()
-		out = co.Block()
-	})
-	s.Run(10)
-	if out != Aborted {
+	co, fired := wakeCounter(s)
+	co.Deny()
+	if out := co.Block(); out != Aborted {
 		t.Errorf("outcome %v, want aborted", out)
+	}
+	s.Run(10)
+	if *fired != 0 {
+		t.Errorf("pre-resolved Block woke %d continuations, want none", *fired)
+	}
+}
+
+// TestDenyAfterCrashResetWakesNothing: a crash drops a waiting cohort's
+// continuation and clears its wait; a Deny from the sweep's cleanup must
+// not wake the dropped continuation.
+func TestDenyAfterCrashResetWakesNothing(t *testing.T) {
+	s := sim.New(1)
+	co, fired := wakeCounter(s)
+	co.Block()
+	co.CrashReset()
+	if co.Waiting() {
+		t.Error("cohort still waiting after CrashReset")
+	}
+	co.Deny()
+	s.Run(10)
+	if *fired != 0 || s.EventsDispatched() != 0 {
+		t.Errorf("Deny after CrashReset woke %d continuations over %d events, want none", *fired, s.EventsDispatched())
 	}
 }
 
 func TestOutcomeString(t *testing.T) {
-	if Granted.String() != "granted" || Aborted.String() != "aborted" {
+	if Granted.String() != "granted" || Aborted.String() != "aborted" || Blocked.String() != "blocked" {
 		t.Error("outcome strings wrong")
 	}
 }

@@ -25,7 +25,7 @@ type Edge struct {
 // detection runs on every block, so the holder of a long-lived Detector
 // pays zero steady-state allocations; the zero value is ready to use. A
 // Detector is not safe for concurrent use — hold one per manager (or per
-// Snoop process), never share across simulations.
+// Snoop), never share across simulations.
 type Detector struct {
 	// gen is the globally unique generation of the current detection pass
 	// (drawn from detPass in load). Transactions carry their first-seen

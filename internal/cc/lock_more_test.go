@@ -93,9 +93,8 @@ func TestPromoteAfterDownToZeroHolders(t *testing.T) {
 	lt.Lock(a, pg(1), LockX)
 	var got Outcome
 	s.Spawn("b", func(p *sim.Proc) {
-		b.Proc = p
 		if ok, _ := lt.Lock(b, pg(1), LockX); !ok {
-			got = b.Block()
+			got = await(p, b, b.Block())
 		} else {
 			got = Granted
 		}

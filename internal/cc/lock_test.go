@@ -93,7 +93,6 @@ func TestUpgradeWaitsForOtherReaders(t *testing.T) {
 
 	var upgraded bool
 	s.Spawn("upgrader", func(p *sim.Proc) {
-		a.Proc = p
 		ok, conflicts := lt.Lock(a, pg(1), LockX)
 		if ok {
 			t.Error("upgrade granted with another reader present")
@@ -102,7 +101,7 @@ func TestUpgradeWaitsForOtherReaders(t *testing.T) {
 		if len(conflicts) != 1 || conflicts[0] != b {
 			t.Errorf("upgrade conflicts %v, want [b]", conflicts)
 		}
-		if a.Block() == Granted {
+		if await(p, a, a.Block()) == Granted {
 			upgraded = true
 		}
 	})
@@ -130,18 +129,16 @@ func TestUpgradeJumpsQueue(t *testing.T) {
 
 	var order []string
 	s.Spawn("c-writer", func(p *sim.Proc) {
-		c.Proc = p
 		if ok, _ := lt.Lock(c, pg(1), LockX); !ok {
-			c.Block()
+			await(p, c, c.Block())
 		}
 		order = append(order, "c")
 		lt.ReleaseAll(c)
 	})
 	s.Spawn("a-upgrader", func(p *sim.Proc) {
-		a.Proc = p
 		p.Delay(1)
 		if ok, _ := lt.Lock(a, pg(1), LockX); !ok {
-			a.Block()
+			await(p, a, a.Block())
 		}
 		order = append(order, "a")
 		lt.ReleaseAll(a)
@@ -189,9 +186,8 @@ func TestReleasePromotesBatchOfReaders(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		r := fakeCohort(int64(10 + i))
 		s.Spawn("reader", func(p *sim.Proc) {
-			r.Proc = p
 			if ok, _ := lt.Lock(r, pg(1), LockS); !ok {
-				if r.Block() != Granted {
+				if await(p, r, r.Block()) != Granted {
 					return
 				}
 			}
@@ -215,16 +211,14 @@ func TestRemoveWaiterPromotes(t *testing.T) {
 	lt.Lock(a, pg(1), LockS)
 	var cGranted bool
 	s.Spawn("b", func(p *sim.Proc) {
-		b.Proc = p
 		if ok, _ := lt.Lock(b, pg(1), LockX); !ok {
-			b.Block() // will be removed, not denied, in this test
+			await(p, b, b.Block()) // will be removed, not denied, in this test
 		}
 	})
 	s.Spawn("c", func(p *sim.Proc) {
-		c.Proc = p
 		p.Delay(1)
 		if ok, _ := lt.Lock(c, pg(1), LockS); !ok {
-			if c.Block() == Granted {
+			if await(p, c, c.Block()) == Granted {
 				cGranted = true
 			}
 			return
@@ -359,7 +353,6 @@ func TestLockTableRandomOpsInvariants(t *testing.T) {
 			co := fakeCohort(int64(i + 1))
 			cohorts = append(cohorts, co)
 			s.Spawn("cohort", func(p *sim.Proc) {
-				co.Proc = p
 				for j := 0; j < 10; j++ {
 					p.Delay(float64(r.Intn(5)))
 					page := pg(r.Intn(4))
@@ -369,7 +362,7 @@ func TestLockTableRandomOpsInvariants(t *testing.T) {
 					}
 					granted, _ := lt.Lock(co, page, mode)
 					if !granted {
-						if co.Block() == Aborted {
+						if await(p, co, co.Block()) == Aborted {
 							break
 						}
 					}

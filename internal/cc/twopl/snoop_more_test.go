@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ddbm/internal/cc"
+	"ddbm/internal/cc/cctest"
 	"ddbm/internal/db"
 	"ddbm/internal/sim"
 )
@@ -36,14 +37,12 @@ func buildThreeNodeCycle(t *testing.T, s *sim.Sim, alg *Algorithm) (mgrs []cc.Ma
 			})
 		}
 		s.Spawn("txn", func(p *sim.Proc) {
-			coHold.Proc = p
-			coWant.Proc = p
-			if mgrs[holdAt].Access(coHold, page, true) != cc.Granted {
+			if cctest.Await(p, coHold, mgrs[holdAt].Access(coHold, page, true)) != cc.Granted {
 				outs[id] = cc.Aborted
 				return
 			}
 			p.Delay(5)
-			outs[id] = mgrs[wantAt].Access(coWant, page, true)
+			outs[id] = cctest.Await(p, coWant, mgrs[wantAt].Access(coWant, page, true))
 			if outs[id] == cc.Granted {
 				txn.State = cc.Committing
 				mgrs[holdAt].Commit(coHold)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ddbm/internal/cc"
+	"ddbm/internal/cc/cctest"
 	"ddbm/internal/db"
 	"ddbm/internal/sim"
 )
@@ -24,21 +25,19 @@ func TestTimeoutBreaksDeadlock(t *testing.T) {
 	}
 	out := map[int64]cc.Outcome{}
 	s.Spawn("a", func(p *sim.Proc) {
-		a.Proc = p
-		m.Access(a, pg(1), true)
+		cctest.Await(p, a, m.Access(a, pg(1), true))
 		p.Delay(10)
-		out[1] = m.Access(a, pg(2), true)
+		out[1] = cctest.Await(p, a, m.Access(a, pg(2), true))
 		if out[1] == cc.Granted {
 			a.Txn.State = cc.Committing
 			m.Commit(a)
 		}
 	})
 	s.Spawn("b", func(p *sim.Proc) {
-		b.Proc = p
 		p.Delay(1)
-		m.Access(b, pg(2), true)
+		cctest.Await(p, b, m.Access(b, pg(2), true))
 		p.Delay(10)
-		out[2] = m.Access(b, pg(1), true)
+		out[2] = cctest.Await(p, b, m.Access(b, pg(1), true))
 	})
 	s.Run(10000)
 	// Both wait; both time out around t=110-111 (no detection picks a
@@ -60,16 +59,14 @@ func TestTimeoutNotFiredOnShortWait(t *testing.T) {
 	waiter.Txn.OnAbort = func(int, string) { t.Error("short wait aborted") }
 	var out cc.Outcome
 	s.Spawn("holder", func(p *sim.Proc) {
-		holder.Proc = p
-		m.Access(holder, pg(1), true)
+		cctest.Await(p, holder, m.Access(holder, pg(1), true))
 		p.Delay(50) // well under the timeout
 		holder.Txn.State = cc.Committing
 		m.Commit(holder)
 	})
 	s.Spawn("waiter", func(p *sim.Proc) {
-		waiter.Proc = p
 		p.Delay(1)
-		out = m.Access(waiter, pg(1), true)
+		out = cctest.Await(p, waiter, m.Access(waiter, pg(1), true))
 		if out == cc.Granted {
 			waiter.Txn.State = cc.Committing
 			m.Commit(waiter)
@@ -125,10 +122,8 @@ func TestPrepareDeferredDeadlockVictimVotesNo(t *testing.T) {
 	votes := map[int64]bool{}
 	// Work phase: each transaction already holds one page...
 	s.Spawn("setup", func(p *sim.Proc) {
-		old.Proc = p
-		young.Proc = p
-		m.Access(old, pg(1), true)
-		m.Access(young, pg(2), true)
+		cctest.Await(p, old, m.Access(old, pg(1), true))
+		cctest.Await(p, young, m.Access(young, pg(2), true))
 		old.Txn.State = cc.Preparing
 		young.Txn.State = cc.Preparing
 		// ...and each defers its write lock on the other's page: a cycle
@@ -173,28 +168,25 @@ func TestStaleTimerDoesNotAbortLaterWait(t *testing.T) {
 	w := &cc.CohortMeta{Txn: newTxn(3), Node: 0}
 	w.Txn.OnAbort = func(int, string) { t.Error("stale timer aborted a healthy wait") }
 	s.Spawn("h1", func(p *sim.Proc) {
-		h1.Proc = p
-		m.Access(h1, pg(1), true)
+		cctest.Await(p, h1, m.Access(h1, pg(1), true))
 		p.Delay(50)
 		h1.Txn.State = cc.Committing
 		m.Commit(h1) // releases pg1 at t=50, waiter 1st wait lasted 49ms
 	})
 	s.Spawn("h2", func(p *sim.Proc) {
-		h2.Proc = p
-		m.Access(h2, pg(2), true)
+		cctest.Await(p, h2, m.Access(h2, pg(2), true))
 		p.Delay(130)
 		h2.Txn.State = cc.Committing
 		m.Commit(h2) // releases pg2 at t=130; waiter's 2nd wait = 80ms < 100
 	})
 	var out cc.Outcome
 	s.Spawn("w", func(p *sim.Proc) {
-		w.Proc = p
 		p.Delay(1)
-		if m.Access(w, pg(1), true) != cc.Granted { // waits 1..50
+		if cctest.Await(p, w, m.Access(w, pg(1), true)) != cc.Granted { // waits 1..50
 			t.Error("first wait failed")
 			return
 		}
-		out = m.Access(w, pg(2), true) // waits 50..130; stale timer fires ~101
+		out = cctest.Await(p, w, m.Access(w, pg(2), true)) // waits 50..130; stale timer fires ~101
 	})
 	s.Run(10000)
 	if out != cc.Granted {
@@ -218,13 +210,11 @@ func TestPrepareDeferredUpgradesHeldReadLock(t *testing.T) {
 	other.Txn.OnAbort = func(int, string) { s.After(1, func() { m.Abort(other) }) }
 	var vote bool
 	s.Spawn("setup", func(p *sim.Proc) {
-		co.Proc = p
-		other.Proc = p
-		if m.Access(co, pg(1), false) != cc.Granted {
+		if cctest.Await(p, co, m.Access(co, pg(1), false)) != cc.Granted {
 			t.Error("read rejected")
 			return
 		}
-		if m.Access(other, pg(1), false) != cc.Granted {
+		if cctest.Await(p, other, m.Access(other, pg(1), false)) != cc.Granted {
 			t.Error("second read rejected")
 			return
 		}

@@ -1,7 +1,7 @@
 // Package twopl implements distributed two-phase locking (paper §2.2):
 // dynamic S/X page locks with read-to-write upgrades, blocking on conflict,
 // local deadlock detection whenever a cohort blocks, and a rotating "Snoop"
-// process that periodically gathers the waits-for graphs of every node to
+// detector that periodically gathers the waits-for graphs of every node to
 // resolve global deadlocks. Deadlocks are broken by aborting the most
 // recently started transaction in the cycle.
 package twopl
@@ -167,21 +167,35 @@ func (m *manager) Abort(co *cc.CohortMeta) {
 }
 
 // PrepareDeferred acquires the deferred remote-copy write locks during the
-// first phase of commit ([Care89], paper footnote 13). It runs in a fresh
-// process at this node (the cohort's work-phase process has finished) and
-// may block on each lock like any other request — including becoming a
-// deadlock victim, in which case it reports a no vote.
+// first phase of commit ([Care89], paper footnote 13). It runs as its own
+// continuation at this node, taking over the cohort's Wake (the work phase
+// has finished), and may wait on each lock like any other request —
+// including becoming a deadlock victim, in which case it reports a no vote.
 func (m *manager) PrepareDeferred(co *cc.CohortMeta, pages []db.PageID, done func(ok bool)) {
-	m.env.Sim.Spawn("deferred-locks", func(p *sim.Proc) {
-		co.Proc = p
-		for _, page := range pages {
-			if m.Access(co, page, true) == cc.Aborted {
+	s := m.env.Sim
+	i, woken, blockedAt := 0, false, sim.Time(0)
+	var step func()
+	step = func() {
+		for ; i < len(pages); i++ {
+			out := cc.Blocked
+			if woken {
+				woken, out = false, co.Verdict()
+				if co.OnBlocked != nil {
+					co.OnBlocked(co, s.Now()-blockedAt)
+				}
+			} else if out = m.Access(co, pages[i], true); out == cc.Blocked {
+				woken, blockedAt = true, s.Now()
+				return
+			}
+			if out == cc.Aborted {
 				done(false)
 				return
 			}
 		}
 		done(true)
-	})
+	}
+	co.Wake = func() { s.Schedule(s.Now(), step) }
+	s.Schedule(s.Now(), step)
 }
 
 // snoopNode is the Snoop's per-node state: the node's manager and the
@@ -193,10 +207,11 @@ type snoopNode struct {
 	edges []cc.Edge
 }
 
-// StartGlobal launches the Snoop process: each node in turn waits
-// DetectionIntervalMs, gathers waits-for edges from all other nodes via
-// real (CPU-costed) messages, resolves global cycles, and passes the role
-// to the next node round-robin.
+// StartGlobal launches the Snoop, a chain of continuations starting at
+// the current instant: each node in turn waits DetectionIntervalMs,
+// gathers waits-for edges from all other nodes via real (CPU-costed)
+// messages, resolves global cycles, and passes the role to the next node
+// round-robin.
 //
 // The request and reply continuations for every (snoop node, polled node)
 // pair are bound once at startup and each node's snapshot lives in a
@@ -211,71 +226,74 @@ func (a *Algorithm) StartGlobal(g cc.GlobalEnv) {
 	if n < 2 {
 		return // local detection already sees the whole graph
 	}
-	g.Sim().Spawn("snoop", func(p *sim.Proc) {
-		nodes := make([]snoopNode, n)
+	s := g.Sim()
+	nodes := make([]snoopNode, n)
+	for o := range nodes {
+		nodes[o].mgr = g.ManagerAt(o).(*manager)
+	}
+	// A round collects the snoop node's own edges into all, then each
+	// reply appends its node's snapshot in delivery order and counts
+	// pending down; a reply that finds the Snoop waiting schedules collect.
+	var (
+		all                  []cc.Edge
+		pending              int
+		waiting              bool
+		node                 int         // the node holding the Snoop role
+		det                  cc.Detector // reused across rounds; victims are consumed before the next one
+		wait, round, collect func()
+	)
+	requests := make([][]func(), n)
+	for at := 0; at < n; at++ {
+		requests[at] = make([]func(), n)
+		for o := 0; o < n; o++ {
+			if o == at {
+				continue
+			}
+			at, o, nd := at, o, &nodes[o]
+			reply := func() {
+				all = append(all, nd.edges...)
+				pending--
+				if waiting {
+					waiting = false
+					s.Schedule(s.Now(), collect)
+				}
+			}
+			requests[at][o] = func() {
+				nd.edges = nd.mgr.lt.AppendWaitsForEdges(o, nd.edges[:0])
+				g.SendControl(o, at, reply)
+			}
+		}
+	}
+	if a.MaxTxns > 0 {
+		e := a.maxEdges()
 		for o := range nodes {
-			nodes[o].mgr = g.ManagerAt(o).(*manager)
+			nodes[o].edges = make([]cc.Edge, 0, e)
 		}
-		// A round collects the snoop node's own edges into all, then each
-		// reply appends its node's snapshot in delivery order and counts
-		// pending down; every reply resumes the parked Snoop.
-		var (
-			all     []cc.Edge
-			pending int
-			parked  *sim.Proc
-		)
-		requests := make([][]func(), n)
-		for at := 0; at < n; at++ {
-			requests[at] = make([]func(), n)
-			for o := 0; o < n; o++ {
-				if o == at {
-					continue
-				}
-				at, o, nd := at, o, &nodes[o]
-				reply := func() {
-					all = append(all, nd.edges...)
-					pending--
-					if w := parked; w != nil {
-						parked = nil
-						w.Resume()
-					}
-				}
-				requests[at][o] = func() {
-					nd.edges = nd.mgr.lt.AppendWaitsForEdges(o, nd.edges[:0])
-					g.SendControl(o, at, reply)
-				}
+		all = make([]cc.Edge, 0, n*e)
+		det.Reserve(a.MaxTxns, n*e)
+	}
+	wait = func() { s.After(a.DetectionIntervalMs, round) }
+	round = func() {
+		for o := 0; o < n; o++ {
+			if o == node {
+				continue
 			}
+			pending++
+			g.SendControl(node, o, requests[node][o])
 		}
-		node := 0
-		var det cc.Detector // reused across rounds; victims are consumed before the next one
-		if a.MaxTxns > 0 {
-			e := a.maxEdges()
-			for o := range nodes {
-				nodes[o].edges = make([]cc.Edge, 0, e)
-			}
-			all = make([]cc.Edge, 0, n*e)
-			det.Reserve(a.MaxTxns, n*e)
+		all = nodes[node].mgr.lt.AppendWaitsForEdges(node, all[:0])
+		collect()
+	}
+	collect = func() {
+		if pending > 0 {
+			waiting = true
+			return
 		}
-		for {
-			p.Delay(a.DetectionIntervalMs)
-			snoopAt := node
-			for o := 0; o < n; o++ {
-				if o == snoopAt {
-					continue
-				}
-				pending++
-				g.SendControl(snoopAt, o, requests[snoopAt][o])
-			}
-			self := &nodes[snoopAt]
-			all = self.mgr.lt.AppendWaitsForEdges(snoopAt, all[:0])
-			for pending > 0 {
-				parked = p
-				p.Suspend()
-			}
-			for _, v := range det.FindVictims(all) {
-				v.RequestAbort(snoopAt, "global deadlock", cc.CauseGlobalDeadlock)
-			}
-			node = (node + 1) % n
+		for _, v := range det.FindVictims(all) {
+			v.RequestAbort(node, "global deadlock", cc.CauseGlobalDeadlock)
 		}
-	})
+		node = (node + 1) % n
+		wait()
+	}
+	s.Schedule(s.Now(), wait)
 }

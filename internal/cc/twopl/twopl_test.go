@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ddbm/internal/cc"
+	"ddbm/internal/cc/cctest"
 	"ddbm/internal/db"
 	"ddbm/internal/sim"
 )
@@ -30,8 +31,7 @@ func TestReadersShare(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		co := &cc.CohortMeta{Txn: newTxn(int64(i + 1)), Node: 0}
 		s.Spawn("r", func(p *sim.Proc) {
-			co.Proc = p
-			if m.Access(co, pg(1), false) == cc.Granted {
+			if cctest.Await(p, co, m.Access(co, pg(1), false)) == cc.Granted {
 				granted++
 			}
 		})
@@ -49,16 +49,14 @@ func TestWriterBlocksUntilCommit(t *testing.T) {
 	waiter := &cc.CohortMeta{Txn: newTxn(2), Node: 0}
 	var grantedAt sim.Time
 	s.Spawn("holder", func(p *sim.Proc) {
-		holder.Proc = p
-		m.Access(holder, pg(1), true)
+		cctest.Await(p, holder, m.Access(holder, pg(1), true))
 		p.Delay(50)
 		holder.Txn.State = cc.Committing
 		m.Commit(holder)
 	})
 	s.Spawn("waiter", func(p *sim.Proc) {
-		waiter.Proc = p
 		p.Delay(1)
-		if m.Access(waiter, pg(1), true) == cc.Granted {
+		if cctest.Await(p, waiter, m.Access(waiter, pg(1), true)) == cc.Granted {
 			grantedAt = s.Now()
 		}
 	})
@@ -90,21 +88,19 @@ func TestLocalDeadlockVictimIsYoungest(t *testing.T) {
 	}
 	outcomes := map[int64]cc.Outcome{}
 	s.Spawn("old", func(p *sim.Proc) {
-		old.Proc = p
-		m.Access(old, pg(1), true)
+		cctest.Await(p, old, m.Access(old, pg(1), true))
 		p.Delay(10)
-		outcomes[1] = m.Access(old, pg(2), true) // blocks on young -> deadlock
+		outcomes[1] = cctest.Await(p, old, m.Access(old, pg(2), true)) // blocks on young -> deadlock
 		if outcomes[1] == cc.Granted {
 			old.Txn.State = cc.Committing
 			m.Commit(old)
 		}
 	})
 	s.Spawn("young", func(p *sim.Proc) {
-		young.Proc = p
 		p.Delay(1)
-		m.Access(young, pg(2), true)
+		cctest.Await(p, young, m.Access(young, pg(2), true))
 		p.Delay(10)
-		outcomes[2] = m.Access(young, pg(1), true) // completes the cycle
+		outcomes[2] = cctest.Await(p, young, m.Access(young, pg(1), true)) // completes the cycle
 	})
 	s.Run(1000)
 	if abortedTxn != 2 {
@@ -128,8 +124,7 @@ func TestAccessAfterAbortRequestedRejected(t *testing.T) {
 	co.Txn.AbortRequested = true
 	var out cc.Outcome
 	s.Spawn("p", func(p *sim.Proc) {
-		co.Proc = p
-		out = m.Access(co, pg(1), false)
+		out = cctest.Await(p, co, m.Access(co, pg(1), false))
 	})
 	s.Run(10)
 	if out != cc.Aborted {
@@ -145,13 +140,11 @@ func TestAbortIdempotentAndReleases(t *testing.T) {
 	other := &cc.CohortMeta{Txn: newTxn(2), Node: 0}
 	var otherOut cc.Outcome
 	s.Spawn("holder", func(p *sim.Proc) {
-		co.Proc = p
-		mi.Access(co, pg(1), true)
+		cctest.Await(p, co, mi.Access(co, pg(1), true))
 	})
 	s.Spawn("waiter", func(p *sim.Proc) {
-		other.Proc = p
 		p.Delay(1)
-		otherOut = mi.Access(other, pg(1), true)
+		otherOut = cctest.Await(p, other, mi.Access(other, pg(1), true))
 	})
 	s.Spawn("aborter", func(p *sim.Proc) {
 		p.Delay(10)
@@ -228,11 +221,9 @@ func TestSnoopResolvesGlobalDeadlock(t *testing.T) {
 	}
 	outcome := map[int64]cc.Outcome{}
 	s.Spawn("t1", func(p *sim.Proc) {
-		t1c0.Proc = p
-		t1c1.Proc = p
-		m0.Access(t1c0, pg(0), true)
+		cctest.Await(p, t1c0, m0.Access(t1c0, pg(0), true))
 		p.Delay(5)
-		outcome[1] = m1.Access(t1c1, pg(0), true)
+		outcome[1] = cctest.Await(p, t1c1, m1.Access(t1c1, pg(0), true))
 		if outcome[1] == cc.Granted {
 			t1.State = cc.Committing
 			m0.Commit(t1c0)
@@ -240,11 +231,9 @@ func TestSnoopResolvesGlobalDeadlock(t *testing.T) {
 		}
 	})
 	s.Spawn("t2", func(p *sim.Proc) {
-		t2c1.Proc = p
-		t2c0.Proc = p
-		m1.Access(t2c1, pg(0), true)
+		cctest.Await(p, t2c1, m1.Access(t2c1, pg(0), true))
 		p.Delay(5)
-		outcome[2] = m0.Access(t2c0, pg(0), true)
+		outcome[2] = cctest.Await(p, t2c0, m0.Access(t2c0, pg(0), true))
 	})
 	s.Run(5000)
 	if victim != 2 {
@@ -275,13 +264,11 @@ func TestWaitsForEdgesExported(t *testing.T) {
 	a := &cc.CohortMeta{Txn: newTxn(1), Node: 3}
 	b := &cc.CohortMeta{Txn: newTxn(2), Node: 3}
 	s.Spawn("a", func(p *sim.Proc) {
-		a.Proc = p
-		m.Access(a, pg(1), true)
+		cctest.Await(p, a, m.Access(a, pg(1), true))
 	})
 	s.Spawn("b", func(p *sim.Proc) {
-		b.Proc = p
 		p.Delay(1)
-		m.Access(b, pg(1), true)
+		cctest.Await(p, b, m.Access(b, pg(1), true))
 	})
 	s.Run(10)
 	edges := m.LockTable().AppendWaitsForEdges(3, nil)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ddbm/internal/cc"
+	"ddbm/internal/cc/cctest"
 	"ddbm/internal/db"
 	"ddbm/internal/sim"
 )
@@ -41,13 +42,11 @@ func TestOlderWoundsYounger(t *testing.T) {
 	var oldOut cc.Outcome
 	var oldGrantedAt sim.Time
 	s.Spawn("young", func(p *sim.Proc) {
-		young.Proc = p
-		mi.Access(young, pg(1), true)
+		cctest.Await(p, young, mi.Access(young, pg(1), true))
 	})
 	s.Spawn("old", func(p *sim.Proc) {
-		old.Proc = p
 		p.Delay(10)
-		oldOut = mi.Access(old, pg(1), true) // older: wounds the holder, waits
+		oldOut = cctest.Await(p, old, mi.Access(old, pg(1), true)) // older: wounds the holder, waits
 		oldGrantedAt = s.Now()
 	})
 	s.Run(1000)
@@ -75,16 +74,14 @@ func TestYoungerWaitsForOlder(t *testing.T) {
 	var youngOut cc.Outcome
 	var youngAt sim.Time
 	s.Spawn("old", func(p *sim.Proc) {
-		old.Proc = p
-		mi.Access(old, pg(1), true)
+		cctest.Await(p, old, mi.Access(old, pg(1), true))
 		p.Delay(30)
 		old.Txn.State = cc.Committing
 		mi.Commit(old)
 	})
 	s.Spawn("young", func(p *sim.Proc) {
-		young.Proc = p
 		p.Delay(5)
-		youngOut = mi.Access(young, pg(1), true)
+		youngOut = cctest.Await(p, young, mi.Access(young, pg(1), true))
 		youngAt = s.Now()
 	})
 	s.Run(1000)
@@ -109,16 +106,14 @@ func TestWoundIgnoredInSecondPhase(t *testing.T) {
 	}
 	var oldAt sim.Time
 	s.Spawn("young", func(p *sim.Proc) {
-		young.Proc = p
-		mi.Access(young, pg(1), true)
+		cctest.Await(p, young, mi.Access(young, pg(1), true))
 		young.Txn.State = cc.Committing // commit decision made
 		p.Delay(40)
 		mi.Commit(young)
 	})
 	s.Spawn("old", func(p *sim.Proc) {
-		old.Proc = p
 		p.Delay(10)
-		if mi.Access(old, pg(1), true) == cc.Granted {
+		if cctest.Await(p, old, mi.Access(old, pg(1), true)) == cc.Granted {
 			oldAt = s.Now()
 		}
 	})
@@ -139,8 +134,7 @@ func TestSharedReadsNoWounds(t *testing.T) {
 		co := &cc.CohortMeta{Txn: newTxn(int64(i + 1)), Node: 0}
 		co.Txn.OnAbort = func(int, string) { t.Error("read sharing caused a wound") }
 		s.Spawn("r", func(p *sim.Proc) {
-			co.Proc = p
-			if mi.Access(co, pg(1), false) == cc.Granted {
+			if cctest.Await(p, co, mi.Access(co, pg(1), false)) == cc.Granted {
 				n++
 			}
 		})
@@ -161,15 +155,13 @@ func TestUpgradeWoundsYoungerReader(t *testing.T) {
 	young.Txn.OnAbort = func(int, string) { mi.Abort(young) }
 	var upOut cc.Outcome
 	s.Spawn("old", func(p *sim.Proc) {
-		old.Proc = p
-		mi.Access(old, pg(1), false)
+		cctest.Await(p, old, mi.Access(old, pg(1), false))
 		p.Delay(10)
-		upOut = mi.Access(old, pg(1), true)
+		upOut = cctest.Await(p, old, mi.Access(old, pg(1), true))
 	})
 	s.Spawn("young", func(p *sim.Proc) {
-		young.Proc = p
 		p.Delay(1)
-		mi.Access(young, pg(1), false)
+		cctest.Await(p, young, mi.Access(young, pg(1), false))
 	})
 	s.Run(1000)
 	if upOut != cc.Granted {
@@ -195,14 +187,13 @@ func TestNoDeadlockEverProperty(t *testing.T) {
 			s.After(float64(r.Intn(3)), func() { mi.Abort(co) })
 		}
 		s.Spawn("w", func(p *sim.Proc) {
-			co.Proc = p
 			for j := 0; j < 6; j++ {
 				if co.Txn.AbortRequested {
 					return
 				}
 				page := pg(r.Intn(3))
 				write := r.Intn(2) == 0
-				if mi.Access(co, page, write) == cc.Aborted {
+				if cctest.Await(p, co, mi.Access(co, page, write)) == cc.Aborted {
 					return
 				}
 				if cc.HasCycle(m.LockTable().AppendWaitsForEdges(0, nil)) {

@@ -296,7 +296,7 @@ func (c *Config) Validate() error {
 		case !c.ModelLogging:
 			return fmt.Errorf("core: Faults requires ModelLogging (recovery replays the forced log)")
 		case c.Algorithm == cc.O2PL:
-			return fmt.Errorf("core: Faults does not support O2PL (deferred-lock processes have no crash story)")
+			return fmt.Errorf("core: Faults does not support O2PL (deferred-lock acquisition has no crash story)")
 		case c.DeferRemoteWriteLocks:
 			return fmt.Errorf("core: Faults does not support DeferRemoteWriteLocks")
 		case c.Audit:

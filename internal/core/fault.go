@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"ddbm/internal/cc"
 	"ddbm/internal/fault"
 	"ddbm/internal/obs"
@@ -23,11 +21,12 @@ import (
 //     dead (releasing coordinators stuck waiting for abort acks via
 //     synthetic acks), and the node's cohort registry is swept: in-doubt
 //     cohorts become residents — their locks survive, their attempt state
-//     is pinned — while everything else is killed and its locks released.
+//     is pinned — while everything else loses its pending continuation
+//     and its locks.
 //   - Detection (DetectMs later): the coordinator's timeout/termination
 //     protocol aborts every live attempt that touches the dead node.
 //   - Repair (MTTRMs after the crash): the node accepts messages again and
-//     its recovery process runs — replay the forced log as pure delay,
+//     its recovery runs — replay the forced log as pure delay,
 //     resolve each resident per the protocol's rule (2PC inquires at the
 //     coordinator; presumed abort/commit resolve locally), then rejoin,
 //     which restarts the injector's failure clock for the node.
@@ -58,7 +57,6 @@ type faultState struct {
 	hostWaiters []*sim.Proc
 
 	detectFns []func()   // pre-bound per-node detection sweeps
-	recNames  []string   // per-node recovery process names
 	downSince []sim.Time // crash instant per node, for the down trace span
 
 	// Accounting for the Result fields (see metrics.go). In-doubt and
@@ -86,7 +84,6 @@ func newFaultState(m *Machine) *faultState {
 	for i := 0; i < nodes; i++ {
 		i := i
 		f.detectFns = append(f.detectFns, func() { f.detect(i) })
-		f.recNames = append(f.recNames, fmt.Sprintf("recovery@%d", i))
 	}
 	f.inj.SetTarget(f)
 	m.net.SetFaultModel(f.inj)
@@ -275,8 +272,10 @@ func (f *faultState) CrashNode(n int) {
 // told anything), their attempt state is pinned until recovery resolves
 // them, and — under 2PC — any already-made decision is recorded for the
 // restart inquiry. Everything else loses its state: a pending startup job
-// died with the CPU queue, a running process is killed, and in every case
-// the cohort's locks and queued requests are released.
+// died with the CPU queue, a running work phase loses its scheduled
+// continuation (one waiting on the CPU, a disk or a lock has none: those
+// died with the queues, and CrashReset stops the lock manager's wake),
+// and in every case the cohort's locks and queued requests are released.
 func (f *faultState) sweepRun(c *cohortRun) {
 	m := f.m
 	if c.meta.InDoubt {
@@ -297,11 +296,11 @@ func (f *faultState) sweepRun(c *cohortRun) {
 		// starts, so the load reference dies here.
 		c.a.release()
 	case phaseRunning:
-		m.sim.Kill(c.meta.Proc)
-		if m.activeCohorts != nil {
-			m.activeCohorts[c.meta.Node]--
-		}
-		c.a.release()
+		// Drop the scheduled step, if any, and end the work phase without
+		// its span.
+		m.sim.Cancel(c.next)
+		c.next, c.spanned = nil, false
+		c.finish(false)
 	}
 	c.meta.CrashReset()
 	m.mgrs[c.meta.Node].Abort(&c.meta)
@@ -348,27 +347,41 @@ func touchesNode(a *attemptState, n int) bool {
 }
 
 // RecoverNode implements fault.Target, run at the repair instant with the
-// node already accepting messages again. The recovery process replays the
-// node's forced log as pure delay (the simulated WAL knows how many live
-// prepare records the crash stranded; no disk resources and no randomness
-// are touched, so recovery perturbs neither stream), resolves each
-// resident per the protocol's rule, and only then rejoins the machine.
+// node already accepting messages again. The node's recovery starts at
+// this instant as a chain of continuations: it replays the node's forced
+// log as pure delay (the simulated WAL knows how many live prepare records
+// the crash stranded; no disk resources and no randomness are touched, so
+// recovery perturbs neither stream), resolves each resident per the
+// protocol's rule, and only then rejoins the machine.
 func (f *faultState) RecoverNode(n int) {
 	m := f.m
 	repairAt := m.sim.Now()
 	m.tracer.Complete(obs.KindFault, "down", n, 0, 0, f.downSince[n])
-	m.sim.Spawn(f.recNames[n], func(p *sim.Proc) {
-		p.Delay(recovery.ReplayMs(f.wal.LiveCount(n), m.cfg.MinDiskMs, m.cfg.MinDiskMs))
-		for {
-			c := f.nextResident(n)
-			if c == nil {
-				break
+	var asked *cohortRun // the resident whose 2PC inquiry is in flight
+	var resolve func()
+	resolve = func() {
+		if c := asked; c != nil {
+			asked = nil
+			f.resolveResident(c, c.inqCommit)
+		}
+		for c := f.nextResident(n); c != nil; c = f.nextResident(n) {
+			if f.res == recovery.Inquire {
+				// Pay a full inquiry round-trip to the coordinator before
+				// the cohort can release anything; the answer's delivery
+				// schedules resolve again.
+				asked, c.recWait = c, resolve
+				c.a.retain()
+				m.net.Send(c.meta.Node, m.hostID, c, tagCohortInquiry)
+				return
 			}
-			f.resolveResident(p, c)
+			f.resolveResident(c, f.res == recovery.PresumeCommit)
 		}
 		f.recoveryMs += float64(m.sim.Now() - repairAt)
 		m.tracer.Complete(obs.KindFault, "recovery", n, 0, 0, repairAt)
 		f.inj.NodeUp(n)
+	}
+	m.sim.Schedule(repairAt, func() {
+		m.sim.After(recovery.ReplayMs(f.wal.LiveCount(n), m.cfg.MinDiskMs, m.cfg.MinDiskMs), resolve)
 	})
 }
 
@@ -384,26 +397,15 @@ func (f *faultState) nextResident(n int) *cohortRun {
 	return nil
 }
 
-// resolveResident applies the protocol's in-doubt resolution rule to one
-// resident: 2PC pays a full inquiry round-trip to the coordinator before
-// the cohort can release anything — the recovery-time blocking penalty the
-// presumed variants avoid by resolving locally. Presumed commit's local
-// rule installs the cohort's updates even when the transaction actually
-// aborted after the crash (the documented PC anomaly: the abort record
-// that would prevent it was never forced at the dead node).
-func (f *faultState) resolveResident(p *sim.Proc, c *cohortRun) {
+// resolveResident applies the protocol's in-doubt resolution to one
+// resident: 2PC asks the coordinator (the recovery's inquiry), while the
+// presumed variants resolve locally and so avoid its recovery-time
+// blocking penalty. Presumed commit's local rule installs the cohort's
+// updates even when the transaction actually aborted after the crash (the
+// documented PC anomaly: the abort record that would prevent it was never
+// forced at the dead node).
+func (f *faultState) resolveResident(c *cohortRun, committed bool) {
 	m := f.m
-	committed := false
-	switch f.res {
-	case recovery.PresumeCommit:
-		committed = true
-	case recovery.Inquire:
-		c.recWait = p
-		c.a.retain()
-		m.net.Send(c.meta.Node, m.hostID, c, tagCohortInquiry)
-		p.Suspend()
-		committed = c.inqCommit
-	}
 	if committed {
 		m.mgrs[c.meta.Node].Commit(&c.meta)
 		c.a.env.InstallCommit(&c.proto)

@@ -41,7 +41,7 @@ type Machine struct {
 
 	// Observability (all nil/zero unless explicitly enabled; the disabled
 	// state is the existing fast path). activeCohorts is allocated — and
-	// maintained by runCohort — only while probing is on.
+	// maintained by the cohort work phase — only while probing is on.
 	tracer        *obs.Tracer
 	probes        *obs.TimeSeries
 	probeEveryMs  float64
@@ -60,13 +60,12 @@ type Machine struct {
 	txnCounter int64
 
 	// Transaction-path pools and pre-bound hooks (see txn.go): recycled
-	// attempt states, the untraced OnBlocked method value, the per-node
-	// static cohort process names, and the per-node phase-two write-back
-	// continuations. All bound once at machine construction so the
-	// steady-state transaction path allocates nothing.
+	// attempt states, the untraced OnBlocked method value, and the
+	// per-node phase-two write-back continuations. All bound once at
+	// machine construction so the steady-state transaction path allocates
+	// nothing.
 	attemptFree  []*attemptState
 	blockedFn    func(co *cc.CohortMeta, d sim.Time)
-	cohortNames  []string
 	writeBackFns []func()
 
 	// ft is the fault/recovery state (nil unless cfg.Faults.Enabled; the
@@ -126,7 +125,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 		m.cpus = append(m.cpus, resource.NewCPU(s, cfg.ProcMIPS))
 		d := resource.NewDiskArray(s, cfg.NumDisks, cfg.MinDiskMs, cfg.MaxDiskMs)
 		m.disks = append(m.disks, d)
-		m.cohortNames = append(m.cohortNames, fmt.Sprintf("cohort@%d", i))
 		m.writeBackFns = append(m.writeBackFns, func() { d.WriteAsync(nil) })
 	}
 	m.cpus = append(m.cpus, resource.NewCPU(s, cfg.HostMIPS)) // host
@@ -278,9 +276,9 @@ func (m *Machine) Tracer() *obs.Tracer { return m.tracer }
 
 // EnableProbes installs the periodic gauge sampler, snapshotting per-node
 // gauges every intervalMs of simulated time into the returned TimeSeries.
-// Must be called before Start/Run. The sampler is a deterministic sim
-// process that only reads state (see obs.TimeSeries), so probed runs stay
-// bit-identical to unprobed ones.
+// Must be called before Start/Run. The sampler is a periodic event that
+// only reads state (see obs.TimeSeries), so probed runs stay bit-identical
+// to unprobed ones.
 func (m *Machine) EnableProbes(intervalMs float64) *obs.TimeSeries {
 	if intervalMs <= 0 {
 		panic("core: probe interval must be positive")
@@ -378,9 +376,9 @@ func (g globalEnv) NumProcNodes() int                        { return g.m.cfg.Nu
 func (g globalEnv) ManagerAt(node int) cc.Manager            { return g.m.mgrs[node] }
 func (g globalEnv) SendControl(from, to int, deliver func()) { g.m.net.SendFunc(from, to, deliver) }
 
-// Start launches the workload (terminals) and algorithm-global processes,
-// and schedules the warmup boundary. Exposed separately from Run for tests
-// that drive the simulator manually.
+// Start launches the workload (terminals) and algorithm-global machinery,
+// and schedules the warmup boundary and the probe sampler. Exposed
+// separately from Run for tests that drive the simulator manually.
 func (m *Machine) Start() {
 	m.algo.StartGlobal(globalEnv{m})
 	for t := 0; t < m.cfg.NumTerminals; t++ {
@@ -399,12 +397,12 @@ func (m *Machine) Start() {
 		}
 	})
 	if m.probes != nil {
-		m.sim.Spawn("probe-sampler", func(p *sim.Proc) {
-			for {
-				p.Delay(m.probeEveryMs)
-				m.sample()
-			}
-		})
+		var tick func()
+		tick = func() {
+			m.sample()
+			m.sim.After(m.probeEveryMs, tick)
+		}
+		m.sim.Schedule(m.sim.Now(), func() { m.sim.After(m.probeEveryMs, tick) })
 	}
 	if m.ft != nil {
 		m.ft.inj.Start()

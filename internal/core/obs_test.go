@@ -103,6 +103,48 @@ func TestTraceStructure(t *testing.T) {
 	}
 }
 
+// Traced runs with restarts at think time 0 must export a valid Chrome
+// trace. These two configurations hit both ways a cohort span can break
+// the check: an aborted attempt's cohort still finishing its in-flight
+// step while the restart's cohort runs at the same node (each attempt
+// needs its own track), and a cohort whose load lands after its attempt
+// was aborted (it must record no span, which would lie past the
+// attempt's end).
+func TestTracedRestartsPassChromeCheck(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full-size traced runs")
+	}
+	for _, tc := range []struct {
+		name string
+		alg  cc.Kind
+		simS float64
+	}{
+		{"2PL-60s", cc.TwoPL, 60},
+		{"WW-120s", cc.WoundWait, 120},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Algorithm = tc.alg
+			cfg.SimTimeMs = tc.simS * 1000
+			cfg.WarmupMs = 10_000
+			cfg.Seed = 7
+			m, err := NewMachine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := m.EnableTracing()
+			m.Run()
+			var buf bytes.Buffer
+			if err := obs.WriteChromeTrace(&buf, tr.Events(), cfg.NumProcNodes); err != nil {
+				t.Fatal(err)
+			}
+			if err := obs.CheckChromeTrace(buf.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // The probe time series must reproduce the end-of-run utilization
 // aggregates within rounding: the mean of the sampled per-window
 // utilizations over the measurement interval approximates the warmup-

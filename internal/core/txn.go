@@ -5,6 +5,7 @@ import (
 	"ddbm/internal/cc"
 	"ddbm/internal/commit"
 	"ddbm/internal/obs"
+	"ddbm/internal/resource"
 	"ddbm/internal/sim"
 	"ddbm/internal/workload"
 )
@@ -16,7 +17,7 @@ import (
 // per-handler: cohortRun handles the cohort tags, attemptState handles the
 // notice tag.
 const (
-	tagCohortLoad      = iota // host → node: pay startup CPU, spawn the cohort process
+	tagCohortLoad      = iota // host → node: pay startup CPU, start the cohort's work phase
 	tagCohortDone             // node → host: the cohort's work phase is done
 	tagCohortSelfAbort        // node → host: concurrency control rejected the cohort
 	tagAbortNotice            // → host: a manager or the failure detector demands the abort
@@ -27,9 +28,9 @@ const (
 // Cohort life-cycle phases tracked by the fault layer (cohortRun.phase;
 // maintained only while fault injection is on). A crash sweep uses the
 // phase to decide what a cohort left behind: a pending startup job
-// (loaded), a live process to kill (running), released resources
-// (exited), or — when in doubt — locks that must survive until recovery
-// resolves them (resident).
+// (loaded), a work phase whose pending continuation must be dropped
+// (running), released resources (exited), or — when in doubt — locks
+// that must survive until recovery resolves them (resident).
 const (
 	phaseIdle uint8 = iota
 	phaseLoaded
@@ -44,7 +45,7 @@ const (
 // and Env, and the cohort runs. Attempt states are free-listed on the
 // Machine and recycled by quiescence: every in-flight reference to the
 // attempt — a message envelope, a log-force continuation, a running cohort
-// process — holds one count, and the state returns to the pool only when
+// work phase — holds one count, and the state returns to the pool only when
 // the count drains to zero, so stragglers (late votes after an early abort return,
 // phase-two deliveries after Commit returns, cohorts still winding down
 // after an abort) never touch recycled memory.
@@ -72,7 +73,7 @@ type attemptState struct {
 
 // cohortRun is the coordinator's handle on one cohort of one attempt: the
 // core-side work-phase state plus the embedded protocol-layer Cohort. Its
-// network messages and process entry points are pre-bound, so loading and
+// network messages and continuations are pre-bound, so loading and
 // running a cohort allocates nothing in steady state.
 type cohortRun struct {
 	idx     int
@@ -86,25 +87,38 @@ type cohortRun struct {
 	a *attemptState
 	m *Machine
 
-	spawnFn func()            // c.spawn, bound once
-	runFn   func(p *sim.Proc) // c.run, bound once
+	startFn func() // c.start, bound once
+	stepFn  func() // c.step, bound once
+	wakeFn  func() // c.wake, bound once
+
+	// Work-phase state (see step). upgrade marks the CC request as an
+	// updated page's write request; next is the scheduled step, nil while
+	// the cohort waits on a resource or the lock manager.
+	pc        uint8
+	upgrade   bool
+	i         int // current access
+	verdict   cc.Outcome
+	blockedAt sim.Time
+	spanAt    sim.Time
+	spanned   bool       // false for a cohort that starts already aborted
+	next      *sim.Event //ddbmlint:allow event-retention nilled when it fires (step) and canceled only while pending (crash sweep)
 
 	// Fault-layer state (zero/idle unless fault injection is on): the
 	// life-cycle phase and the cohort's slot in its node's crash
-	// registry; inDoubtAt stamps the open in-doubt window; recWait parks
-	// the recovery process across a 2PC inquiry round-trip and inqCommit
-	// carries the answer back.
+	// registry; inDoubtAt stamps the open in-doubt window; recWait is
+	// the node recovery's continuation across a 2PC inquiry round-trip
+	// and inqCommit carries the answer back.
 	phase     uint8
 	regIdx    int
 	inDoubtAt sim.Time
-	recWait   *sim.Proc
+	recWait   func()
 	inqCommit bool
 
 	// bd points at bdStore while breakdown accounting is on (nil
 	// otherwise): the cohort's mini-ledger, tiling load-send to
 	// done-delivery on the cohort's own timeline. The coordinator folds
 	// the critical cohort's account into the attempt ledger. diskSvc is
-	// the ReadMeasured scratch slot for the service/queue split.
+	// the ReadAsync scratch slot for the service/queue split.
 	bd      *obs.Ledger
 	bdStore obs.Ledger
 	diskSvc float64
@@ -227,7 +241,7 @@ func (a *attemptState) addCohort(cp *workload.CohortPlan, attemptNo int) *cohort
 	}
 	c.phase, c.regIdx = phaseIdle, 0
 	c.inDoubtAt, c.recWait, c.inqCommit = 0, nil, false
-	c.meta = cc.CohortMeta{Txn: &a.meta, Node: cp.Node, OnBlocked: a.m.blockedFn}
+	c.meta = cc.CohortMeta{Txn: &a.meta, Node: cp.Node, Wake: c.wakeFn, OnBlocked: a.m.blockedFn}
 	if tr := a.m.tracer; tr != nil {
 		// Record each blocking episode as a cc-wait span before the stats
 		// tally. The closure exists only on the traced path, so the
@@ -248,11 +262,12 @@ func (a *attemptState) addCohort(cp *workload.CohortPlan, attemptNo int) *cohort
 	return c
 }
 
-// newCohortRun makes a pooled cohort run with its entry points bound.
+// newCohortRun makes a pooled cohort run with its continuations bound.
 func newCohortRun(a *attemptState) *cohortRun {
 	c := &cohortRun{a: a, m: a.m} //ddbmlint:allow hotpath-alloc pool growth: one run per high-water cohort slot
-	c.spawnFn = c.spawn
-	c.runFn = c.run
+	c.startFn = c.start
+	c.stepFn = c.step
+	c.wakeFn = c.wake
 	return c
 }
 
@@ -428,8 +443,8 @@ func (a *attemptState) foldWork(crit int) {
 }
 
 // loadCohort sends the "load cohort" message; at the destination the
-// process-startup CPU cost is paid and the cohort process begins. The
-// reference taken here is held until the cohort process exits, so an
+// process-startup CPU cost is paid and the cohort's work phase begins.
+// The reference taken here is held until the work phase exits, so an
 // attempt never recycles under a cohort that is still winding down.
 //
 //ddbmlint:hotpath cohort load pinned by TestTxnPathAllocFree
@@ -443,7 +458,7 @@ func (m *Machine) loadCohort(c *cohortRun) {
 // the load step at its node, or its completion/self-abort report into the
 // coordinator's wait at the host. Host-bound deliveries release the
 // reference their envelope held; the load step passes its reference to the
-// cohort process.
+// cohort's work phase.
 //
 //ddbmlint:hotpath work-phase message dispatch pinned by TestTxnPathAllocFree
 func (c *cohortRun) HandleMsg(tag int) {
@@ -453,7 +468,7 @@ func (c *cohortRun) HandleMsg(tag int) {
 		if c.m.ft != nil {
 			c.m.ft.register(c)
 		}
-		c.m.cpus[c.meta.Node].UseAsync(c.m.cfg.InstPerStartup, c.spawnFn)
+		c.m.cpus[c.meta.Node].UseAsync(c.m.cfg.InstPerStartup, c.startFn)
 	case tagCohortDone:
 		c.bd.Spend(c.m.sim.Now(), obs.PhaseNetTransit)
 		c.a.txn.Report(c.idx)
@@ -479,10 +494,9 @@ func (c *cohortRun) HandleMsg(tag int) {
 		c.m.net.Send(c.m.hostID, c.meta.Node, c, tagCohortDecision)
 		c.a.release()
 	case tagCohortDecision:
-		// Back at the node: wake the parked recovery process.
-		p := c.recWait
+		// Back at the node: resume the node's recovery.
+		c.m.sim.Schedule(c.m.sim.Now(), c.recWait)
 		c.recWait = nil
-		p.Resume()
 		c.a.release()
 	}
 }
@@ -493,145 +507,205 @@ func (c *cohortRun) HandleMsg(tag int) {
 // dropped report means its news died with the node.
 func (c *cohortRun) MsgDropped(int) { c.a.release() }
 
-// spawn starts the cohort process once the startup CPU cost is paid. The
-// process name is the node's static cohort name: spawn names are
-// debug-only, and formatting one per load would allocate.
+// start begins the cohort's work phase once the startup CPU cost is paid.
 //
-//ddbmlint:hotpath cohort process start pinned by TestTxnPathAllocFree
-func (c *cohortRun) spawn() {
+//ddbmlint:hotpath cohort work-phase start pinned by TestTxnPathAllocFree
+func (c *cohortRun) start() {
 	c.bd.SpendSplit(c.m.sim.Now(), c.m.cfg.InstPerStartup/c.m.cpus[c.meta.Node].Rate(),
 		obs.PhaseCPUService, obs.PhaseCPUQueue)
-	p := c.m.sim.Spawn(c.m.cohortNames[c.meta.Node], c.runFn)
+	c.pc, c.i = stepStart, 0
+	c.wake()
 	if c.m.ft != nil {
-		// Record the process (and the running phase) here, not in run: a
-		// crash landing between the spawn and the process's first step
-		// must still find something to kill.
-		c.meta.Proc = p
+		// Running from here, not from the first step: a crash landing in
+		// between must still find the step's event to cancel.
 		c.phase = phaseRunning
 	}
 }
 
-// run is the cohort process body.
+// wake schedules the cohort's next step at the current instant, behind
+// the events already due now: CPU, disk and lock completions call it
+// rather than step itself.
 //
-//ddbmlint:hotpath cohort process body pinned by TestTxnPathAllocFree
-func (c *cohortRun) run(cp *sim.Proc) {
-	c.meta.Proc = cp
-	c.m.runCohort(cp, c)
-}
+//ddbmlint:hotpath cohort continuation pinned by TestTxnPathAllocFree
+func (c *cohortRun) wake() { c.next = c.m.sim.Schedule(c.m.sim.Now(), c.stepFn) }
 
-// runCohort executes a cohort's work phase: for each access, a concurrency
-// control request, a synchronous disk read, and page-processing CPU; for
-// updates, a second (write) concurrency control request — the update itself
-// is buffered until commit. The cohort stops silently if its transaction is
-// already being aborted (the abort protocol handles cleanup), and reports
-// conflicts it loses to the coordinator. Every exit path releases the
-// reference loadCohort took.
+// Resume points of the cohort work phase (cohortRun.pc), named for what
+// has just finished when step runs.
+const (
+	stepStart  uint8 = iota // nothing yet: the work phase begins
+	stepAccess              // the previous access: start access i
+	stepCC                  // the CC request's CPU: ask the manager
+	stepCCDone              // the manager's answer (c.verdict), or its wait
+	stepRead                // the page read
+	stepPage                // the page's CPU
+	stepWrite               // the update's CPU
+)
+
+// step runs a cohort's work phase from its resume point until it waits on
+// the CPU, a disk or the lock manager, or exits. For each access: a
+// concurrency control request, a disk read, and page-processing CPU; for
+// updates, a second (write) concurrency control request — the update
+// itself is buffered until commit. The cohort stops silently if its
+// transaction is already being aborted (the abort protocol handles
+// cleanup), and reports conflicts it loses to the coordinator. Every exit
+// path releases the reference loadCohort took.
 //
 //ddbmlint:hotpath cohort work phase pinned by TestTxnPathAllocFree
-func (m *Machine) runCohort(cp *sim.Proc, c *cohortRun) {
-	cfg := &m.cfg
-	node := c.meta.Node
-	mgr := m.mgrs[node]
-	cpu := m.cpus[node]
-	disks := m.disks[node]
-	if m.activeCohorts != nil {
-		m.activeCohorts[node]++
-	}
-	sp := m.tracer.Begin(obs.KindCohort, "cohort", node, c.meta.Txn.ID, c.attempt)
-	deferAllWrites := cfg.Algorithm == cc.O2PL
-	for i := range c.plan.Accesses {
-		a := &c.plan.Accesses[i]
-		if c.meta.Txn.AbortRequested {
-			m.cohortDone(c, sp)
-			c.a.release()
-			return
+func (c *cohortRun) step() {
+	c.next = nil
+	m, cfg, now := c.m, &c.m.cfg, c.m.sim.Now()
+	cpu := m.cpus[c.meta.Node]
+	for {
+		var a *workload.Access
+		if c.i < len(c.plan.Accesses) {
+			a = &c.plan.Accesses[c.i]
 		}
-		if a.Remote {
-			// Write to a non-primary copy: a write permission request only
-			// (read-one/write-all); the copy is installed at commit. In
-			// deferred mode the lock request moves to the prepare phase.
-			if cfg.DeferRemoteWriteLocks || deferAllWrites {
+		switch c.pc {
+		case stepStart:
+			if m.activeCohorts != nil {
+				m.activeCohorts[c.meta.Node]++
+			}
+			c.spanAt, c.spanned = now, !c.meta.Txn.AbortRequested
+			c.pc = stepAccess
+			fallthrough
+		case stepAccess:
+			if a == nil || c.meta.Txn.AbortRequested {
+				c.finish(a == nil)
+				return
+			}
+			// A write to a non-primary copy is a write permission request
+			// only (read-one/write-all); the copy is installed at commit.
+			// In deferred mode the request moves to the prepare phase.
+			if a.Remote && (cfg.DeferRemoteWriteLocks || cfg.Algorithm == cc.O2PL) {
+				c.i++
 				continue
 			}
-			cpu.Use(cp, cfg.InstPerCCReq)
-			c.bd.SpendSplit(m.sim.Now(), cfg.InstPerCCReq/cpu.Rate(), obs.PhaseCPUService, obs.PhaseCPUQueue)
-			out := mgr.Access(&c.meta, a.Page, true) //ddbmlint:allow hotpath-alloc cc.Manager dispatch; managers are audited by their own alloc pins
-			c.bd.Spend(m.sim.Now(), obs.PhaseLockBlocked)
-			if out == cc.Aborted {
+			c.upgrade = false
+			if c.useCPU(cpu, cfg.InstPerCCReq, stepCC) {
+				return
+			}
+			fallthrough
+		case stepCC:
+			c.bd.SpendSplit(now, cfg.InstPerCCReq/cpu.Rate(), obs.PhaseCPUService, obs.PhaseCPUQueue)
+			c.verdict = m.mgrs[c.meta.Node].Access(&c.meta, a.Page, a.Remote || c.upgrade || c.writeFirst(a)) //ddbmlint:allow hotpath-alloc cc.Manager dispatch; managers are audited by their own alloc pins
+			c.pc = stepCCDone
+			if c.verdict == cc.Blocked {
+				c.blockedAt = now
+				return
+			}
+			fallthrough
+		case stepCCDone:
+			if c.verdict == cc.Blocked {
+				c.verdict = c.meta.Verdict()
+				c.meta.OnBlocked(&c.meta, now-c.blockedAt) //ddbmlint:allow hotpath-alloc pre-bound observer; the untraced path uses the method value bound at machine construction
+			}
+			c.bd.Spend(now, obs.PhaseLockBlocked)
+			if c.verdict == cc.Aborted {
 				m.reportSelfAbort(c)
-				m.cohortDone(c, sp)
-				c.a.release()
+				c.finish(false)
 				return
 			}
-			continue
-		}
-		// For pages the transaction will update, the locking algorithms can
-		// claim write permission up front (the update set is known) or
-		// read-then-convert (§2.2 literally); timestamp algorithms always
-		// see the read first so their read rules apply.
-		firstAccessIsWrite := a.Write && !cfg.UpgradeWriteLocks && locksUpFront(cfg.Algorithm)
-		cpu.Use(cp, cfg.InstPerCCReq)
-		c.bd.SpendSplit(m.sim.Now(), cfg.InstPerCCReq/cpu.Rate(), obs.PhaseCPUService, obs.PhaseCPUQueue)
-		out := mgr.Access(&c.meta, a.Page, firstAccessIsWrite) //ddbmlint:allow hotpath-alloc cc.Manager dispatch; see above
-		c.bd.Spend(m.sim.Now(), obs.PhaseLockBlocked)
-		if out == cc.Aborted {
-			m.reportSelfAbort(c)
-			m.cohortDone(c, sp)
-			c.a.release()
-			return
-		}
-		if m.rec != nil {
-			c.reads = append(c.reads, audit.ReadObs{Page: a.Page, Saw: m.rec.ObserveRead(a.Page, node)}) //ddbmlint:allow hotpath-alloc audit-only path; auditing is off in measured runs
-		}
-		disks.ReadMeasured(cp, &c.diskSvc)
-		c.bd.SpendSplit(m.sim.Now(), c.diskSvc, obs.PhaseDiskService, obs.PhaseDiskQueue)
-		cpu.Use(cp, a.Inst)
-		c.bd.SpendSplit(m.sim.Now(), a.Inst/cpu.Rate(), obs.PhaseCPUService, obs.PhaseCPUQueue)
-		if a.Write {
-			if c.meta.Txn.AbortRequested {
-				m.cohortDone(c, sp)
-				c.a.release()
-				return
+			if a.Remote {
+				c.i++
+				c.pc = stepAccess
+				continue
 			}
-			if !firstAccessIsWrite && !deferAllWrites {
-				cpu.Use(cp, cfg.InstPerCCReq)
-				c.bd.SpendSplit(m.sim.Now(), cfg.InstPerCCReq/cpu.Rate(), obs.PhaseCPUService, obs.PhaseCPUQueue)
-				out := mgr.Access(&c.meta, a.Page, true) //ddbmlint:allow hotpath-alloc cc.Manager dispatch; see above
-				c.bd.Spend(m.sim.Now(), obs.PhaseLockBlocked)
-				if out == cc.Aborted {
-					m.reportSelfAbort(c)
-					m.cohortDone(c, sp)
-					c.a.release()
+			if c.upgrade {
+				if c.useCPU(cpu, a.WriteInst, stepWrite) {
 					return
 				}
+				continue
+			}
+			if m.rec != nil {
+				c.reads = append(c.reads, audit.ReadObs{Page: a.Page, Saw: m.rec.ObserveRead(a.Page, c.meta.Node)}) //ddbmlint:allow hotpath-alloc audit-only path; auditing is off in measured runs
+			}
+			c.pc = stepRead
+			m.disks[c.meta.Node].ReadAsync(&c.diskSvc, c.wakeFn)
+			return
+		case stepRead:
+			c.bd.SpendSplit(now, c.diskSvc, obs.PhaseDiskService, obs.PhaseDiskQueue)
+			if c.useCPU(cpu, a.Inst, stepPage) {
+				return
+			}
+			fallthrough
+		case stepPage:
+			c.bd.SpendSplit(now, a.Inst/cpu.Rate(), obs.PhaseCPUService, obs.PhaseCPUQueue)
+			if !a.Write {
+				c.i++
+				c.pc = stepAccess
+				continue
+			}
+			if c.meta.Txn.AbortRequested {
+				c.finish(false)
+				return
+			}
+			if !c.writeFirst(a) && cfg.Algorithm != cc.O2PL {
+				c.upgrade = true
+				if c.useCPU(cpu, cfg.InstPerCCReq, stepCC) {
+					return
+				}
+				continue
 			}
 			// Processing the page "when writing it" (Table 2); the update
 			// itself stays buffered until commit.
-			cpu.Use(cp, a.WriteInst)
-			c.bd.SpendSplit(m.sim.Now(), a.WriteInst/cpu.Rate(), obs.PhaseCPUService, obs.PhaseCPUQueue)
+			if c.useCPU(cpu, a.WriteInst, stepWrite) {
+				return
+			}
+			fallthrough
+		case stepWrite:
+			c.bd.SpendSplit(now, a.WriteInst/cpu.Rate(), obs.PhaseCPUService, obs.PhaseCPUQueue)
+			c.i++
+			c.pc = stepAccess
 		}
 	}
-	m.cohortDone(c, sp)
-	c.a.retain()
-	m.net.Send(node, m.hostID, c, tagCohortDone)
-	c.a.release()
 }
 
-// cohortDone closes a cohort's observability state. Deliberately called
-// explicitly on every work-phase exit path rather than deferred: a cohort
-// killed at simulation shutdown must not record its span (its
-// coordinator's attempt span never records either), and the gauge is only
-// read by the sampler, which has no events left by then.
+// useCPU moves the work phase to resume point next, submits the cohort's
+// processor-sharing work and reports whether the cohort now waits for it;
+// zero-cost work takes no event.
+//
+//ddbmlint:hotpath cohort CPU request pinned by TestTxnPathAllocFree
+func (c *cohortRun) useCPU(cpu *resource.CPU, inst float64, next uint8) bool {
+	c.pc = next
+	if inst <= 0 {
+		return false
+	}
+	cpu.UseAsync(inst, c.wakeFn)
+	return true
+}
+
+// writeFirst reports whether the cohort claims write permission at the
+// page's first access. For pages the transaction will update, the locking
+// algorithms can claim it up front (the update set is known) or
+// read-then-convert (§2.2 literally); timestamp algorithms always see the
+// read first so their read rules apply.
+func (c *cohortRun) writeFirst(a *workload.Access) bool {
+	return a.Write && !c.m.cfg.UpgradeWriteLocks && locksUpFront(c.m.cfg.Algorithm)
+}
+
+// finish ends the work phase, on every exit path: it closes the
+// observability state and passes the reference loadCohort took to the
+// done report of a completed phase, or drops it. A cohort whose work
+// phase started after its attempt was aborted records no span: it would
+// lie past the attempt's end.
 //
 //ddbmlint:hotpath cohort exit pinned by TestTxnPathAllocFree
-func (m *Machine) cohortDone(c *cohortRun, sp *obs.Span) {
+func (c *cohortRun) finish(completed bool) {
+	m := c.m
 	if m.activeCohorts != nil {
 		m.activeCohorts[c.meta.Node]--
 	}
 	if m.ft != nil {
 		c.phase = phaseExited
 	}
-	sp.End()
+	if c.spanned {
+		m.tracer.Complete(obs.KindCohort, "cohort", c.meta.Node, c.meta.Txn.ID, c.attempt, c.spanAt)
+	}
+	if completed {
+		m.net.Send(c.meta.Node, m.hostID, c, tagCohortDone)
+		return
+	}
+	c.a.release()
 }
 
 // locksUpFront reports whether the algorithm can usefully claim write

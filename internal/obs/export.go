@@ -16,16 +16,30 @@ import (
 // a seeded run directly.
 
 // Chrome trace-event mapping (loadable in Perfetto / chrome://tracing):
-// one "process" per simulated node, one "thread" per transaction id for
-// the transaction-scoped spans. Node-scoped activity gets synthetic
-// threads — tid -1 for the CPU's busy periods, tid -(2+spindle) for each
-// disk spindle — on which spans are serial by construction. Message
+// one "process" per simulated node, one "thread" per transaction attempt
+// for the transaction-scoped spans and instants (see txnTid). Node-scoped
+// activity gets synthetic threads — tid -1 for the CPU's busy periods,
+// tid -(2+spindle) for each disk spindle — on which spans are serial by
+// construction. Message
 // transits become async begin/end pairs (ph "b"/"e"), which Perfetto
 // renders on a per-process async track without any nesting requirement.
 const (
 	cpuTid      = -1
 	diskTidBase = -2
 )
+
+// txnTid is the Chrome thread of a transaction-scoped event: the
+// transaction id for its first attempt (and for node-scoped events, which
+// carry attempt 0), and a thread of its own above 2^32 for each restart.
+// An aborted attempt's cohort can still be finishing its in-flight step
+// when the restart's cohort starts at the same node, so two attempts must
+// not share a track.
+func txnTid(txn int64, attempt int) int64 {
+	if attempt <= 1 {
+		return txn
+	}
+	return txn + int64(attempt-1)<<32
+}
 
 // chromeEvent is one trace-event entry; fields follow the Chrome
 // trace-event format. Ts and Dur are microseconds (the format's unit);
@@ -157,7 +171,7 @@ func WriteChromeTrace(w io.Writer, events []Event, host int) error {
 				return err
 			}
 		case KindInstant:
-			ev := chromeEvent{Name: e.Name, Ph: "i", Ts: ts, Pid: e.Node, Tid: e.Txn, S: "t"}
+			ev := chromeEvent{Name: e.Name, Ph: "i", Ts: ts, Pid: e.Node, Tid: txnTid(e.Txn, e.Attempt), S: "t"}
 			if e.Txn != 0 || e.Detail != "" {
 				ev.Args = &chromeArgs{Txn: e.Txn, Attempt: e.Attempt, Detail: e.Detail}
 			}
@@ -165,7 +179,7 @@ func WriteChromeTrace(w io.Writer, events []Event, host int) error {
 				return err
 			}
 		default: // txn, cohort, cc-wait, commit-phase
-			ev := chromeEvent{Name: e.Name, Ph: "X", Ts: ts, Dur: dur, Pid: e.Node, Tid: e.Txn,
+			ev := chromeEvent{Name: e.Name, Ph: "X", Ts: ts, Dur: dur, Pid: e.Node, Tid: txnTid(e.Txn, e.Attempt),
 				Args: &chromeArgs{Txn: e.Txn, Attempt: e.Attempt, Detail: e.Detail}}
 			if err := emit(ev); err != nil {
 				return err

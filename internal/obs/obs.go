@@ -5,7 +5,7 @@
 // The layer is strictly an observer. Nothing here touches the simulation's
 // random source or schedules work on behalf of the model, so enabling a
 // tracer leaves every run bit-identical to the untraced run (the periodic
-// sampler is a sim process, but it only reads state — see TimeSeries).
+// sampler is a periodic event, but it only reads state — see TimeSeries).
 //
 // Cost discipline, in the spirit of the allocation-free kernel:
 //   - Disabled (nil *Tracer): every method is nil-receiver-safe and returns
@@ -128,7 +128,7 @@ type Span struct {
 // End closes the span at the current simulated time and records it.
 // Safe on a nil *Span (the disabled-tracer path). A span not ended by
 // simulation shutdown is never recorded — exactly the semantics wanted
-// for processes killed mid-flight at the end of a run.
+// for a coordinator still mid-attempt at the end of a run.
 func (s *Span) End() {
 	if s == nil {
 		return

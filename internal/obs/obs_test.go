@@ -222,3 +222,33 @@ func TestCheckChromeTraceShutdownExemption(t *testing.T) {
 		t.Fatalf("trace with orphan cohort (killed coordinator) rejected: %v", err)
 	}
 }
+
+// Each restart of a transaction gets its own thread: an aborted attempt's
+// cohort may still be finishing its in-flight step when the restart's
+// cohort starts at the same node, and the two spans must not share a
+// track. The first attempt and node-scoped events keep tid = txn.
+func TestChromeTraceRestartOwnThread(t *testing.T) {
+	events := []Event{
+		{Kind: KindTxn, Name: "attempt", Node: 2, Txn: 3, Attempt: 1, Start: 0, End: 10},
+		{Kind: KindCohort, Name: "cohort", Node: 0, Txn: 3, Attempt: 1, Start: 1, End: 15},
+		{Kind: KindTxn, Name: "attempt", Node: 2, Txn: 3, Attempt: 2, Start: 12, End: 30},
+		{Kind: KindCohort, Name: "cohort", Node: 0, Txn: 3, Attempt: 2, Start: 13, End: 20},
+		{Kind: KindInstant, Name: "cc-reject", Node: 0, Txn: 3, Attempt: 2, Start: 14, End: 14},
+		{Kind: KindInstant, Name: "crash", Node: 1, Start: 25, End: 25},
+	}
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, events, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckChromeTrace(buf.Bytes()); err != nil {
+		t.Fatalf("overlapping cohorts of two attempts rejected: %v", err)
+	}
+	out := buf.String()
+	restart := `"tid":4294967299` // 3 + 1<<32
+	if n := strings.Count(out, restart); n != 3 {
+		t.Errorf("%d events on the restart's thread %s, want its attempt, cohort and instant", n, restart)
+	}
+	if n := strings.Count(out, `"tid":3,`); n != 2 {
+		t.Errorf("%d events on the first attempt's thread, want 2", n)
+	}
+}

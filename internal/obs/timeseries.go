@@ -25,7 +25,7 @@ type NodeSeries struct {
 
 // TimeSeries is the product of the periodic probe sampler: per-node gauge
 // snapshots every IntervalMs of simulated time. The sampler is itself a
-// simulation process, but a pure observer — it reads counters and queue
+// periodic simulation event, but a pure observer — it reads counters and queue
 // lengths without touching the random source, mutating any model state,
 // or perturbing the relative order of model events (extra sampler events
 // only advance the kernel's sequence counter uniformly) — so an enabled

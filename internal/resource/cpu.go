@@ -3,6 +3,10 @@
 // message processing (at higher, preemptive priority) and processor sharing
 // for all other work, plus an array of disks with FIFO queues and
 // write-over-read priority (paper §3.4, Table 3).
+//
+// Work is submitted with a completion callback (UseAsync, UseMsg,
+// ReadAsync, WriteAsync), which the resource calls when the work is done;
+// only the coordinator process still uses the blocking Use and Write.
 package resource
 
 import (
@@ -16,8 +20,8 @@ const instEpsilon = 1e-6
 
 // cpuJob is one unit of CPU work, held by value in the CPU's queues so
 // steady-state submission allocates nothing. Completion either resumes
-// proc (the blocking Use path — no closure needed) or
-// invokes done (the async path — callers pass pre-bound functions).
+// proc (the coordinator's blocking Use — no closure needed) or invokes
+// done (callers pass pre-bound functions).
 type cpuJob struct {
 	remaining float64 // instructions left
 	done      func()
@@ -145,7 +149,7 @@ func (c *CPU) noteArrival() {
 // calling process until the work completes. Zero or negative cost returns
 // immediately (the paper sets several overheads to zero).
 //
-//ddbmlint:hotpath cohort work phase pinned by TestTxnPathAllocFree
+//ddbmlint:hotpath coordinator startup pinned by TestTxnPathAllocFree
 func (c *CPU) Use(p *sim.Proc, inst float64) {
 	if inst <= 0 {
 		return
@@ -155,10 +159,12 @@ func (c *CPU) Use(p *sim.Proc, inst float64) {
 }
 
 // UseAsync submits processor-sharing work and invokes done on completion
-// without blocking the caller. A zero cost invokes done immediately.
-// done must be pre-bound by the caller if the call site is hot.
+// without blocking the caller. A zero cost invokes done immediately, so a
+// caller that must not run its continuation synchronously skips zero-cost
+// work itself. done must be pre-bound by the caller if the call site is
+// hot.
 //
-//ddbmlint:hotpath async CPU work on the transaction path (write-back, cohort startup)
+//ddbmlint:hotpath async CPU work on the transaction path (cohort work phase, write-back, cohort startup)
 func (c *CPU) UseAsync(inst float64, done func()) {
 	if inst <= 0 {
 		if done != nil {
@@ -331,9 +337,9 @@ func (c *CPU) spent(r float64, n int, now sim.Time) bool {
 
 // Crash discards every queued and in-service job without delivering any
 // completion — the crash-stop failure semantics. Work in flight at the
-// crash instant is simply lost: blocked submitters are NOT resumed (the
-// fault layer kills or rescues their processes separately) and async
-// callbacks never run. The busy-time accounting keeps everything accrued
+// crash instant is simply lost: callbacks never run and blocked
+// submitters are not resumed (the fault layer drops the continuations
+// of the node's cohorts). The busy-time accounting keeps everything accrued
 // up to the crash instant; a crashed CPU is idle until work arrives after
 // repair.
 func (c *CPU) Crash() {

@@ -6,14 +6,14 @@ import (
 )
 
 // diskReq is one queued disk access, held by value in the per-disk rings.
-// Completion either resumes proc (blocking ReadMeasured/Write — no closure) or
-// invokes done (async path — callers pass pre-bound functions).
+// Completion either resumes proc (the coordinator's blocking Write — no
+// closure) or invokes done (callers pass pre-bound functions).
 type diskReq struct {
 	write bool
 	done  func()
 	proc  *sim.Proc
 	// svc, when non-nil, receives the drawn service time at completion —
-	// the breakdown accounting's service/queue split seam (ReadMeasured).
+	// the breakdown accounting's service/queue split seam (ReadAsync).
 	svc *float64
 }
 
@@ -157,22 +157,13 @@ func (d *DiskArray) SetTrace(t *obs.Tracer, node int) {
 	d.node = node
 }
 
-// ReadMeasured performs a synchronous page read, blocking the calling
-// process until the disk completes it, and stores the access's drawn
-// service time into *svc at completion (the elapsed time minus *svc is the
-// queueing delay).
+// ReadAsync performs a page read and calls done on completion. When svc is
+// non-nil, the access's drawn service time is stored into *svc just
+// before done runs (the elapsed time minus *svc is the queueing delay).
 //
 //ddbmlint:hotpath cohort page reads pinned by TestTxnPathAllocFree
-func (d *DiskArray) ReadMeasured(p *sim.Proc, svc *float64) {
-	d.submit(diskReq{write: false, proc: p, svc: svc})
-	p.Suspend()
-}
-
-// ReadAsync performs a page read and calls done on completion.
-//
-//ddbmlint:hotpath async page reads on the transaction path
-func (d *DiskArray) ReadAsync(done func()) {
-	d.submit(diskReq{write: false, done: done})
+func (d *DiskArray) ReadAsync(svc *float64, done func()) {
+	d.submit(diskReq{write: false, done: done, svc: svc})
 }
 
 // WriteAsync queues an asynchronous page write (post-commit write-back);
@@ -259,9 +250,8 @@ func (dk *disk) complete() {
 }
 
 // Crash discards every queued and in-service request without delivering
-// any completion — the crash-stop failure semantics. Blocked submitters
-// are NOT resumed (the fault layer handles their processes) and async
-// callbacks never run. The in-service request's completion event cannot
+// any completion — the crash-stop failure semantics: callbacks never run
+// and blocked submitters are not resumed. The in-service request's completion event cannot
 // be canceled (serve does not retain it), so the spindle marks it lost
 // and absorbs the phantom completion when it fires; until then the
 // spindle reports busy, which only matters if the node repairs within one

@@ -10,18 +10,23 @@ func TestDiskReadServiceTimeBounds(t *testing.T) {
 	s := sim.New(1)
 	d := NewDiskArray(s, 1, 10, 30)
 	var times []sim.Time
-	s.Spawn("p", func(p *sim.Proc) {
-		for i := 0; i < 50; i++ {
-			start := s.Now()
-			var svc float64
-			d.ReadMeasured(p, &svc)
+	var svc float64
+	var start sim.Time
+	var read func()
+	read = func() {
+		start = s.Now()
+		d.ReadAsync(&svc, func() {
 			dur := s.Now() - start
 			if !almost(svc, dur, 1e-9) {
 				t.Errorf("measured service %v ms, want the %v ms elapsed (no queueing)", svc, dur)
 			}
 			times = append(times, dur)
-		}
-	})
+			if len(times) < 50 {
+				read()
+			}
+		})
+	}
+	read()
 	s.Run(1e6)
 	if len(times) != 50 {
 		t.Fatalf("completed %d reads, want 50", len(times))
@@ -37,11 +42,8 @@ func TestDiskFixedServiceTime(t *testing.T) {
 	s := sim.New(1)
 	d := NewDiskArray(s, 1, 20, 20)
 	var done sim.Time
-	s.Spawn("p", func(p *sim.Proc) {
-		var svc float64
-		d.ReadMeasured(p, &svc)
-		done = s.Now()
-	})
+	var svc float64
+	d.ReadAsync(&svc, func() { done = s.Now() })
 	s.Run(100)
 	if done != 20 {
 		t.Errorf("degenerate-uniform access finished at %v, want 20", done)
@@ -57,7 +59,7 @@ func TestDiskQueueingFIFO(t *testing.T) {
 	var times []sim.Time
 	for i := 0; i < 3; i++ {
 		i := i
-		d.ReadAsync(func() {
+		d.ReadAsync(nil, func() {
 			order = append(order, i)
 			times = append(times, s.Now())
 		})
@@ -80,8 +82,8 @@ func TestDiskWritePriority(t *testing.T) {
 	s := sim.New(1)
 	d := NewDiskArray(s, 1, 20, 20)
 	var order []string
-	d.ReadAsync(func() { order = append(order, "r1") })
-	d.ReadAsync(func() { order = append(order, "r2") })
+	d.ReadAsync(nil, func() { order = append(order, "r1") })
+	d.ReadAsync(nil, func() { order = append(order, "r2") })
 	d.WriteAsync(func() { order = append(order, "w") })
 	s.Run(1000)
 	if len(order) != 3 || order[0] != "r1" || order[1] != "w" || order[2] != "r2" {
@@ -94,7 +96,7 @@ func TestDiskWritePriorityNonPreemptive(t *testing.T) {
 	s := sim.New(1)
 	d := NewDiskArray(s, 1, 20, 20)
 	var readDone, writeDone sim.Time
-	d.ReadAsync(func() { readDone = s.Now() })
+	d.ReadAsync(nil, func() { readDone = s.Now() })
 	s.Schedule(5, func() {
 		d.WriteAsync(func() { writeDone = s.Now() })
 	})
@@ -116,7 +118,7 @@ func TestDiskMultipleSpindlesParallel(t *testing.T) {
 	var last sim.Time
 	n := 0
 	for i := 0; i < 8; i++ {
-		d.ReadAsync(func() {
+		d.ReadAsync(nil, func() {
 			n++
 			if s.Now() > last {
 				last = s.Now()
@@ -136,7 +138,7 @@ func TestDiskCounts(t *testing.T) {
 	s := sim.New(1)
 	d := NewDiskArray(s, 2, 10, 30)
 	for i := 0; i < 5; i++ {
-		d.ReadAsync(nil)
+		d.ReadAsync(nil, nil)
 	}
 	for i := 0; i < 3; i++ {
 		d.WriteAsync(nil)
@@ -151,8 +153,8 @@ func TestDiskCounts(t *testing.T) {
 func TestDiskUtilization(t *testing.T) {
 	s := sim.New(1)
 	d := NewDiskArray(s, 1, 20, 20)
-	d.ReadAsync(nil) // busy [0,20]
-	s.Run(40)        // idle [20,40]
+	d.ReadAsync(nil, nil) // busy [0,20]
+	s.Run(40)             // idle [20,40]
 	if u := d.Utilization(); u < 0.49 || u > 0.51 {
 		t.Errorf("utilization %v, want 0.5", u)
 	}
@@ -162,7 +164,7 @@ func TestDiskUtilizationAveragesSpindles(t *testing.T) {
 	// One busy disk of two: utilization = busy/2.
 	s := sim.New(1)
 	d := NewDiskArray(s, 2, 20, 20)
-	d.ReadAsync(nil)
+	d.ReadAsync(nil, nil)
 	s.Run(21) // busy time is credited at completion (t=20)
 	u := d.Utilization()
 	if u < 0.45 || u > 0.55 {
@@ -173,10 +175,10 @@ func TestDiskUtilizationAveragesSpindles(t *testing.T) {
 func TestDiskMarkWarmup(t *testing.T) {
 	s := sim.New(1)
 	d := NewDiskArray(s, 1, 20, 20)
-	d.ReadAsync(nil) // [0,20] busy
+	d.ReadAsync(nil, nil) // [0,20] busy
 	s.Schedule(30, func() {
 		d.MarkWarmup()
-		d.ReadAsync(nil) // [30,50] busy
+		d.ReadAsync(nil, nil) // [30,50] busy
 	})
 	s.Run(70) // window [30,70]: 20/40 busy
 	if u := d.Utilization(); u < 0.49 || u > 0.51 {
@@ -187,8 +189,8 @@ func TestDiskMarkWarmup(t *testing.T) {
 func TestDiskQueueLen(t *testing.T) {
 	s := sim.New(1)
 	d := NewDiskArray(s, 1, 20, 20)
-	d.ReadAsync(nil)
-	d.ReadAsync(nil)
+	d.ReadAsync(nil, nil)
+	d.ReadAsync(nil, nil)
 	d.WriteAsync(nil)
 	if d.QueueLen() != 2 {
 		t.Errorf("queue len %d, want 2 (one in service)", d.QueueLen())
@@ -219,14 +221,14 @@ func TestDiskValidation(t *testing.T) {
 func TestDiskRandomAssignmentUsesAllSpindles(t *testing.T) {
 	s := sim.New(1)
 	d := NewDiskArray(s, 4, 10, 30)
-	var p *sim.Proc
-	p = s.Spawn("p", func(p *sim.Proc) {
-		var svc float64
-		for i := 0; i < 200; i++ {
-			d.ReadMeasured(p, &svc)
+	n := 0
+	var read func()
+	read = func() {
+		if n++; n <= 200 {
+			d.ReadAsync(nil, read)
 		}
-	})
-	_ = p
+	}
+	read()
 	s.Run(1e6)
 	for i, dk := range d.disks {
 		if dk.nReads == 0 {

@@ -58,7 +58,7 @@ func TestDiskStabilityLongRun(t *testing.T) {
 			if i%4 == 0 {
 				d.WriteAsync(func() { done++ })
 			} else {
-				d.ReadAsync(func() { done++ })
+				d.ReadAsync(nil, func() { done++ })
 			}
 		})
 	}

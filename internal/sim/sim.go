@@ -1,28 +1,32 @@
 //go:build go1.23
 
-// Package sim implements a process-oriented discrete-event simulation
-// kernel, the Go substitute for the DeNet simulation language in which the
-// original Carey/Livny simulator was written.
+// Package sim implements the discrete-event simulation kernel, the Go
+// substitute for the DeNet simulation language in which the original
+// Carey/Livny simulator was written.
 //
-// A Sim owns a virtual clock and an event queue. Simulation "processes" are
-// coroutines that run strictly one at a time: the scheduler switches into a
-// process and regains control when the process either finishes or blocks
-// itself (Delay or Suspend). Events scheduled for the same
-// instant fire in FIFO order, and all randomness flows through a single
-// seeded source, so every run is fully deterministic.
+// A Sim owns a virtual clock and an event queue. Events scheduled for the
+// same instant fire in FIFO order, and all randomness flows through a
+// single seeded source, so every run is fully deterministic. Most of the
+// model runs as event callbacks: message delivery, resource completions,
+// and every node-side activity (cohort work phases, lock waits, the 2PL
+// Snoop, node recovery) as continuations that a completion schedules at
+// the current instant.
 //
-// Each process is an iter.Pull coroutine, so a process switch is a direct
-// goroutine-to-goroutine transfer that bypasses the Go scheduler. iter.Pull
-// needs Go 1.23. The module's go directive stays at 1.22 so that modules
-// requiring this one at go 1.22 build unchanged; the go1.23 build
-// constraint raises this file's language version so go vet accepts the
-// iter import.
+// The coordinator side still runs as simulation "processes": coroutines
+// that run strictly one at a time. The scheduler switches into a process
+// and regains control when the process either finishes or blocks itself
+// (Delay or Suspend). Each process is an iter.Pull coroutine, so a process
+// switch is a direct goroutine-to-goroutine transfer that bypasses the Go
+// scheduler. iter.Pull needs Go 1.23. The module's go directive stays at
+// 1.22 so that modules requiring this one at go 1.22 build unchanged; the
+// go1.23 build constraint raises this file's language version so go vet
+// accepts the iter import.
 //
 // The kernel hot path is allocation-free in steady state: fired and
 // canceled callback events are recycled through a free-list, and every
-// process embeds its own resume event, so Delay, Resume and SpawnAt
-// neither allocate an Event nor a closure. See DESIGN.md ("Kernel
-// performance") for the invariants this preserves.
+// process embeds its own resume event, so Delay and Resume neither
+// allocate an Event nor a closure. See DESIGN.md ("Kernel performance")
+// for the invariants this preserves.
 //
 // There is no message queue: a process that waits for messages parks in
 // Suspend on state it owns, and the event callback that delivers each
@@ -70,9 +74,7 @@ type Sim struct {
 	dispatched uint64
 	seed       int64
 	rng        *rand.Rand
-	cur        *Proc
 	procs      []*Proc // live processes, each at index Proc.slot
-	idle       []*Proc // finished processes whose coroutines await reuse
 	stopped    bool
 }
 
@@ -256,10 +258,10 @@ func (s *Sim) Step(end Time) bool {
 	return false
 }
 
-// Shutdown stops every process coroutine, live or idle. A process parked
-// mid-body unwinds through the kill sentinel, so its defers run; one that
-// never started never runs its body. It is called automatically at the end
-// of Run and is idempotent.
+// Shutdown stops every live process coroutine. A process parked mid-body
+// unwinds through the stop sentinel, so its defers run; one that never
+// started never runs its body. It is called automatically at the end of
+// Run and is idempotent.
 func (s *Sim) Shutdown() {
 	if s.stopped {
 		return
@@ -274,11 +276,6 @@ func (s *Sim) Shutdown() {
 	}
 	clear(s.procs)
 	s.procs = s.procs[:0]
-	for _, p := range s.idle {
-		p.stop()
-	}
-	clear(s.idle)
-	s.idle = s.idle[:0]
 }
 
 // LiveProcs returns the number of processes that have been spawned but not
@@ -286,46 +283,23 @@ func (s *Sim) Shutdown() {
 // be 0).
 func (s *Sim) LiveProcs() int { return len(s.procs) }
 
-// Kill terminates a live process mid-run — the crash-stop primitive. A
-// pending resume (Delay, SpawnAt) is canceled so the embedded event never
-// fires for the dead process; then the victim is resumed with its kill
-// flag set. A victim parked mid-body unwinds via the kill sentinel exactly
-// as at Shutdown, one that never started skips its body, and either way
-// its coroutine joins the idle pool for reuse by a later Spawn. Killing a
-// finished process is a no-op; killing the currently running process is a
-// kernel-usage bug.
-func (s *Sim) Kill(p *Proc) {
-	if p == nil || p.done {
-		return
-	}
-	if p == s.cur {
-		panic(fmt.Sprintf("sim: process %q cannot kill itself", p.name))
-	}
-	if p.ev.index >= 0 {
-		s.Cancel(&p.ev)
-	}
-	p.killed = true
-	s.resume(p)
-}
-
-// killed is the sentinel panic value used to unwind terminated processes.
-type killed struct{}
+// stopSentinel is the panic value that unwinds a process body parked when
+// Shutdown stops its coroutine.
+type stopSentinel struct{}
 
 // Proc is a simulation process: an iter.Pull coroutine interleaved with the
-// scheduler so that exactly one process runs at any moment. Finished
-// processes keep their coroutine in the simulator's idle pool for reuse by
-// later Spawn calls, so steady-state process churn (one cohort process per
-// transaction cohort) allocates neither a Proc, a coroutine, nor a stack.
+// scheduler so that exactly one process runs at any moment. Processes are
+// long-lived (the terminals, which act as coordinators), so each Spawn
+// makes a fresh coroutine.
 type Proc struct {
-	sim    *Sim
-	name   string
-	fn     func(p *Proc)           // body to run at the next start
-	next   func() (struct{}, bool) // switches into the coroutine until it blocks or finishes
-	stop   func()                  // ends the coroutine for good
-	yield  func(struct{}) bool     // switches from the coroutine back to its resumer
-	slot   int                     // index in Sim.procs while live
-	done   bool
-	killed bool // set by Kill: the body unwinds instead of continuing
+	sim   *Sim
+	name  string
+	fn    func(p *Proc)           // the body
+	next  func() (struct{}, bool) // switches into the coroutine until it blocks or finishes
+	stop  func()                  // ends the coroutine for good
+	yield func(struct{}) bool     // switches from the coroutine back to its resumer
+	slot  int                     // index in Sim.procs while live
+	done  bool
 	// ev is the process's resume event, reused for every Delay/Resume/start
 	// so process switching never allocates. A process is blocked in at most
 	// one place at a time, so a single embedded event is always enough.
@@ -344,66 +318,36 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	return s.SpawnAt(s.now, name, fn)
 }
 
-// SpawnAt creates a process that starts running at time at. A coroutine
-// from the idle pool is reused when one is available; only the pool-growth
-// path allocates.
-//
-//ddbmlint:hotpath steady-state cohort spawn pinned by TestTxnPathAllocFree
+// SpawnAt creates a process that starts running at time at.
 func (s *Sim) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
-	var p *Proc
-	if n := len(s.idle); n > 0 {
-		p = s.idle[n-1]
-		s.idle[n-1] = nil
-		s.idle = s.idle[:n-1]
-	} else {
-		p = &Proc{sim: s} //ddbmlint:allow hotpath-alloc pool growth: one Proc per high-water concurrent process
-		p.ev.proc = p
-		p.ev.index = -1
-		p.next, p.stop = iter.Pull(p.loop) //ddbmlint:allow hotpath-alloc pool growth: one coroutine per high-water concurrent process
-	}
-	p.name, p.fn, p.done, p.killed = name, fn, false, false
-	p.slot = len(s.procs)
-	s.procs = append(s.procs, p) //ddbmlint:allow hotpath-alloc live-set push; capacity reaches the concurrent-process high-water mark
+	p := &Proc{sim: s, name: name, fn: fn, slot: len(s.procs)}
+	p.ev.proc = p
+	p.ev.index = -1
+	p.next, p.stop = iter.Pull(p.run)
+	s.procs = append(s.procs, p)
 	s.scheduleProc(at, p)
 	return p
 }
 
-// loop is a process coroutine: it runs one body per start, then yields as
-// an idle pooled process until a later Spawn resumes it with a new body.
-// Shutdown's stop ends it.
-func (p *Proc) loop(yield func(struct{}) bool) {
+// run is the process coroutine: the body, then retirement from the live
+// set. The stop sentinel raised in a body parked at Shutdown is absorbed
+// here; any other panic leaves the coroutine, and iter.Pull re-raises it in
+// the resumer, so it surfaces in the Run caller.
+func (p *Proc) run(yield func(struct{}) bool) {
 	p.yield = yield
-	for {
-		p.runBody()
-		if p.sim.stopped {
-			return
-		}
-		p.finish()
-		if !yield(struct{}{}) {
-			return
-		}
-	}
-}
-
-// runBody executes the process body unless the process was killed before
-// it started, converting the kill sentinel back into a normal return. Any
-// other panic leaves the coroutine, and iter.Pull re-raises it in the
-// resumer, so it surfaces in the Run caller.
-func (p *Proc) runBody() {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(killed); !ok {
+			if _, ok := r.(stopSentinel); !ok {
 				panic(r)
 			}
 		}
 	}()
-	if !p.killed {
-		p.fn(p)
-	}
+	p.fn(p)
+	p.finish()
 }
 
-// finish retires a completed or killed body: the process leaves the live
-// set by swap-remove and its coroutine joins the idle pool.
+// finish retires a completed body: the process leaves the live set by
+// swap-remove.
 func (p *Proc) finish() {
 	s := p.sim
 	p.done, p.fn = true, nil
@@ -412,7 +356,6 @@ func (p *Proc) finish() {
 	s.procs[p.slot], moved.slot = moved, p.slot
 	s.procs[last] = nil
 	s.procs = s.procs[:last]
-	s.idle = append(s.idle, p)
 }
 
 // resume switches into p and returns when it blocks or finishes.
@@ -420,19 +363,16 @@ func (s *Sim) resume(p *Proc) {
 	if p.done {
 		return
 	}
-	prev := s.cur
-	s.cur = p
 	p.next()
-	s.cur = prev
 }
 
 // block switches from the calling process back to its resumer until the
-// scheduler resumes it. A kill (Kill, or Shutdown's stop) unwinds the body
-// through the kill sentinel instead of returning.
+// scheduler resumes it. Shutdown's stop unwinds the body through the stop
+// sentinel instead of returning.
 func (p *Proc) block() {
 	//ddbmlint:allow hotpath-alloc coroutine switch to the resumer; iter.Pull's yield allocates nothing (pinned by TestDelayAllocFree)
-	if !p.yield(struct{}{}) || p.killed {
-		panic(killed{}) //ddbmlint:allow hotpath-alloc kill sentinel; raised only on Kill and Shutdown
+	if !p.yield(struct{}{}) {
+		panic(stopSentinel{}) //ddbmlint:allow hotpath-alloc stop sentinel; raised only at Shutdown
 	}
 }
 
