@@ -51,7 +51,7 @@ echo "== go test -race -short ./..."
 go test -race -short ./...
 
 echo "== kernel benchmark smoke"
-go test -run '^$' -bench 'BenchmarkEventThroughput|BenchmarkProcessSwitch' \
+go test -run '^$' -bench 'BenchmarkEventThroughput|BenchmarkProcessSwitch|BenchmarkSameInstant|BenchmarkReschedule' \
   -benchtime 0.1s -benchmem ./internal/sim/
 
 echo "== lock-manager benchmark smoke"

@@ -30,6 +30,7 @@ func (a *Algorithm) NewManager(env cc.Env) cc.Manager {
 		env:     env,
 		pages:   make(map[db.PageID]*pageState),
 		cohorts: make(map[*cc.CohortMeta]*cohortState),
+		reads:   make(map[*cc.CohortMeta]*blockedRead),
 	}
 }
 
@@ -42,8 +43,9 @@ type pendingWrite struct {
 }
 
 type blockedRead struct {
-	ts int64
-	co *cc.CohortMeta
+	ts   int64
+	co   *cc.CohortMeta
+	page db.PageID
 }
 
 type pageState struct {
@@ -68,6 +70,12 @@ type manager struct {
 	env     cc.Env
 	pages   map[db.PageID]*pageState
 	cohorts map[*cc.CohortMeta]*cohortState
+	// reads indexes every entry of the pages' blocked lists by its reader
+	// (a cohort blocks on at most one read, the page it is accessing).
+	// Abort finds the read here: the cohort's Waiting flag is no witness,
+	// since a node crash clears it (CohortMeta.CrashReset) before the
+	// sweep aborts the cohort.
+	reads map[*cc.CohortMeta]*blockedRead
 }
 
 func (m *manager) Kind() cc.Kind { return cc.BTO }
@@ -76,13 +84,7 @@ func (m *manager) Kind() cc.Kind { return cc.BTO }
 // pages with timestamp state, and readers blocked behind pending writes.
 func (m *manager) TableSize() int { return len(m.pages) }
 
-func (m *manager) BlockedCount() int {
-	n := 0
-	for _, ps := range m.pages {
-		n += len(ps.blocked)
-	}
-	return n
-}
+func (m *manager) BlockedCount() int { return len(m.reads) }
 
 func (m *manager) page(p db.PageID) *pageState {
 	ps := m.pages[p]
@@ -151,7 +153,8 @@ func (m *manager) Access(co *cc.CohortMeta, page db.PageID, write bool) cc.Outco
 		return cc.Aborted
 	}
 	if ps.pendingBelow(ts) {
-		br := &blockedRead{ts: ts, co: co}
+		br := &blockedRead{ts: ts, co: co, page: page}
+		m.reads[co] = br
 		ps.blocked = append(ps.blocked, br)
 		out := co.Block()
 		// On Granted the waker already updated rts; on Aborted the waker
@@ -191,11 +194,12 @@ func (m *manager) Commit(co *cc.CohortMeta) {
 	// all of the transaction's cohorts to have finished their work phase.
 }
 
-// Abort discards the cohort's pending writes, removes any blocked read, and
-// re-evaluates waiters. Idempotent.
+// Abort discards the cohort's pending writes, removes its blocked read (a
+// cohort blocks on at most one, the page it is accessing), and re-evaluates
+// waiters. A waiting owner is woken with Aborted; a crashed one, no longer
+// waiting, just loses the read. Idempotent.
 func (m *manager) Abort(co *cc.CohortMeta) {
-	cs := m.cohorts[co]
-	if cs != nil {
+	if cs := m.cohorts[co]; cs != nil {
 		delete(m.cohorts, co)
 		for _, page := range cs.writes {
 			ps := m.pages[page]
@@ -208,20 +212,20 @@ func (m *manager) Abort(co *cc.CohortMeta) {
 			m.resolveBlocked(page, ps)
 		}
 	}
-	// Remove a blocked read by this cohort anywhere (it can only be blocked
-	// on one page, the one it is currently accessing).
-	if co.Waiting() {
-		//ddbmlint:ordered a waiting cohort has at most one blocked read across all pages, so at most one iteration acts
-		for _, ps := range m.pages {
-			for i, br := range ps.blocked {
-				if br.co == co {
-					ps.blocked = append(ps.blocked[:i], ps.blocked[i+1:]...)
-					co.Deny()
-					return
-				}
-			}
+	br := m.reads[co]
+	if br == nil {
+		return
+	}
+	delete(m.reads, co)
+	ps := m.pages[br.page]
+	for i, b := range ps.blocked {
+		if b == br {
+			ps.blocked = append(ps.blocked[:i], ps.blocked[i+1:]...)
+			break
 		}
-		// Not blocked in BTO structures (cannot happen, but stay safe).
+	}
+	if co.Waiting() {
+		co.Deny()
 	}
 }
 
@@ -251,11 +255,13 @@ func (m *manager) resolveBlocked(page db.PageID, ps *pageState) {
 		if br.ts > ps.rts {
 			ps.rts = br.ts
 		}
+		delete(m.reads, br.co)
 		br.co.Grant()
 	}
 	for _, br := range deny {
 		// The read it was waiting to perform is now too late: a newer
 		// version committed while it was blocked.
+		delete(m.reads, br.co)
 		br.co.Txn.NoteCause(m.env.Node, cc.CauseBTOTooLate)
 		br.co.Deny()
 	}

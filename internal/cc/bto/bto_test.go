@@ -291,3 +291,34 @@ func TestDuplicateWriteIdempotent(t *testing.T) {
 		t.Fatalf("pending entries %d, want 1", n)
 	}
 }
+
+// TestCrashAbortDropsBlockedRead: the crash sweep clears a cohort's
+// waiting flag (CrashReset) before it aborts the cohort, so Abort must
+// find the blocked read from the manager's own state. A read left behind
+// would later be granted to the dead cohort: it would raise rts from a
+// reader that never ran and leave a stale verdict on the CohortMeta that
+// a later attempt reuses.
+func TestCrashAbortDropsBlockedRead(t *testing.T) {
+	m := newMgr()
+	w, r := newCo(1, 10), newCo(2, 20)
+	m.Access(w, pg(1), true)
+	if out := m.Access(r, pg(1), false); out != cc.Blocked {
+		t.Fatalf("read behind an earlier pending write: %v, want blocked", out)
+	}
+	r.CrashReset()
+	m.Abort(r)
+	if n := len(m.page(pg(1)).blocked); n != 0 || m.BlockedCount() != 0 {
+		t.Fatalf("crashed reader left %d blocked reads (gauge %d)", n, m.BlockedCount())
+	}
+	w.Txn.State = cc.Committing
+	m.Commit(w)
+	if rts := m.page(pg(1)).rts; rts != 0 {
+		t.Fatalf("rts %d after the crashed reader's abort, want 0", rts)
+	}
+	if out := r.Block(); out != cc.Blocked {
+		t.Fatalf("reused cohort carries a stale verdict %v", out)
+	}
+	if !m.Quiesced() {
+		t.Fatal("manager not quiesced")
+	}
+}

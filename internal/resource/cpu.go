@@ -68,9 +68,10 @@ type CPU struct {
 
 	lastT sim.Time
 	// next is the pending completion event. Audited retainer: complete()
-	// nils it before callbacks run and reschedule() cancels-then-replaces
-	// it, so it never holds a dead (recycled) handle.
-	//ddbmlint:allow event-retention canceled or nilled before the handle dies; see reschedule/complete
+	// nils it before callbacks run and reschedule() moves it (keeping the
+	// handle Reschedule returns) or cancels and nils it, so it never holds
+	// a dead (recycled) handle.
+	//ddbmlint:allow event-retention moved, canceled or nilled before the handle dies; see reschedule/complete
 	next       *sim.Event
 	completeFn func() // c.complete, bound once so reschedule never allocates
 
@@ -250,14 +251,12 @@ func (c *CPU) advance() {
 	}
 }
 
-// reschedule recomputes the next completion event.
+// reschedule recomputes the next completion event, moving the pending one
+// (sim.Reschedule dispatches exactly as cancel-then-schedule would) or
+// canceling it when the CPU has drained.
 //
 //ddbmlint:hotpath completion scheduling on every CPU state change
 func (c *CPU) reschedule() {
-	if c.next != nil {
-		c.sim.Cancel(c.next)
-		c.next = nil
-	}
 	var dt float64
 	switch {
 	case c.msgLen > 0:
@@ -271,10 +270,18 @@ func (c *CPU) reschedule() {
 		}
 		dt = min * float64(len(c.ps)) / c.rate
 	default:
+		if c.next != nil {
+			c.sim.Cancel(c.next)
+			c.next = nil
+		}
 		return
 	}
 	if dt < 0 {
 		dt = 0
+	}
+	if c.next != nil {
+		c.next = c.sim.Reschedule(c.next, c.sim.Now()+dt)
+		return
 	}
 	c.next = c.sim.After(dt, c.completeFn)
 }

@@ -82,3 +82,44 @@ func TestSuspendResumeAllocFree(t *testing.T) {
 		t.Errorf("Resume+Delay cycle allocates %v objects, want 0", allocs)
 	}
 }
+
+// TestSameInstantAllocFree: events scheduled at the current instant ride
+// the lane ring, and a canceled lane event is recycled when dispatch
+// reaches it, so a same-instant burst with a cancel allocates nothing once
+// the ring and the free-list have grown.
+func TestSameInstantAllocFree(t *testing.T) {
+	s := New(1)
+	fn := func() {}
+	fanOut := func() {
+		s.After(0, fn)
+		s.Cancel(s.After(0, fn))
+		s.Schedule(s.Now(), fn)
+	}
+	burst := func() {
+		s.Schedule(s.Now(), fanOut)
+		for s.Step(math.MaxFloat64) {
+		}
+	}
+	burst()
+	allocs := testing.AllocsPerRun(200, burst)
+	if allocs != 0 {
+		t.Errorf("same-instant burst allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestRescheduleAllocFree: re-keying a pending completion in place (the
+// CPU's pattern on every arrival and departure) allocates nothing.
+func TestRescheduleAllocFree(t *testing.T) {
+	s := New(1)
+	fn := func() {}
+	e := s.Schedule(10, fn)
+	s.Schedule(20, fn)
+	at := Time(10)
+	allocs := testing.AllocsPerRun(200, func() {
+		at += 0.5
+		e = s.Reschedule(e, at)
+	})
+	if allocs != 0 {
+		t.Errorf("Reschedule allocates %v objects per call, want 0", allocs)
+	}
+}

@@ -2,23 +2,34 @@ package sim
 
 // eventQueue is a 4-ary min-heap of pending events ordered by (at, seq).
 // It replaces container/heap to keep the kernel hot path free of interface
-// dispatch and `any` boxing: push/pop/remove compare *Event directly and the
-// comparisons inline. A 4-ary layout halves the tree depth of a binary heap,
-// trading a few extra comparisons per level for far fewer cache-missing
-// levels — a net win at the queue sizes a busy machine sustains (one pending
-// event per blocked process plus one per busy resource).
+// dispatch and `any` boxing. Each slot holds the event's key inline beside
+// its pointer, so sifting compares plain values in the slice and never
+// dereferences an *Event; the pointer is touched only to keep Event.index
+// pointing at the event's slot (Cancel and Reschedule find it there). A
+// 4-ary layout halves the tree depth of a binary heap, trading a few extra
+// comparisons per level for far fewer cache-missing levels — a net win at
+// the queue sizes a busy machine sustains (one pending event per blocked
+// process plus one per busy resource).
 //
 // Ordering is total: seq is unique per event, so identical timestamps break
 // ties by scheduling order and the pop sequence is independent of heap
-// arity. That is what keeps the kernel rewrite bit-identical to the old
-// container/heap binary-heap kernel for any fixed seed.
+// arity and layout. That is what keeps the kernel rewrite bit-identical to
+// the old container/heap binary-heap kernel for any fixed seed.
 type eventQueue struct {
-	items []*Event
+	items []entry
 }
 
-// eventBefore reports whether a fires before b: earlier time first,
-// scheduling order (seq) breaking ties.
-func eventBefore(a, b *Event) bool {
+// entry is one heap slot: the event's (at, seq) key, copied in when the
+// event is queued or re-keyed, and the event itself.
+type entry struct {
+	at  Time
+	seq uint64
+	ev  *Event
+}
+
+// before reports whether a fires before b: earlier time first, scheduling
+// order (seq) breaking ties.
+func (a *entry) before(b *entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -27,72 +38,87 @@ func eventBefore(a, b *Event) bool {
 
 func (q *eventQueue) len() int { return len(q.items) }
 
-// min returns the earliest pending event without removing it.
-func (q *eventQueue) min() *Event { return q.items[0] }
+// min returns the earliest pending slot without removing it.
+func (q *eventQueue) min() *entry { return &q.items[0] }
 
-// push inserts e and records its heap index for O(log n) removal.
+// push inserts e, keyed by its current (at, seq), and records its heap
+// index for O(log n) removal and re-keying.
 func (q *eventQueue) push(e *Event) {
-	q.items = append(q.items, e) //ddbmlint:allow hotpath-alloc event-heap backing array grows to its high-water mark
+	q.items = append(q.items, entry{e.at, e.seq, e}) //ddbmlint:allow hotpath-alloc event-heap backing array grows to its high-water mark
 	q.siftUp(len(q.items) - 1)
 }
 
-// pop removes and returns the earliest event. Its index is set to -1.
+// pop removes and returns the earliest event, marking it idle.
 func (q *eventQueue) pop() *Event {
 	items := q.items
-	e := items[0]
+	e := items[0].ev
 	n := len(items) - 1
 	last := items[n]
-	items[n] = nil
+	items[n] = entry{}
 	q.items = items[:n]
-	e.index = -1
+	e.index = idle
 	if n > 0 {
-		last.index = 0
 		q.items[0] = last
 		q.siftDown(0)
 	}
 	return e
 }
 
-// remove deletes the event at heap index i (used by Cancel). The displaced
-// tail element is sifted in both directions because it may violate the heap
-// property either way relative to its new position.
+// remove deletes the event at heap index i (used by Cancel), moving the
+// tail element into the hole.
 func (q *eventQueue) remove(i int) {
 	items := q.items
 	n := len(items) - 1
-	items[i].index = -1
+	items[i].ev.index = idle
 	last := items[n]
-	items[n] = nil
+	items[n] = entry{}
 	q.items = items[:n]
 	if i == n {
 		return
 	}
-	last.index = i
 	q.items[i] = last
+	q.fix(i)
+}
+
+// rekey gives the event at heap index i its current (at, seq) (used by
+// Reschedule): one sift instead of a remove and a push.
+func (q *eventQueue) rekey(i int) {
+	it := &q.items[i]
+	it.at, it.seq = it.ev.at, it.ev.seq
+	q.fix(i)
+}
+
+// fix restores the heap property around slot i after its key changed,
+// which may break it in either direction: up if the slot now sorts before
+// its parent, otherwise down.
+func (q *eventQueue) fix(i int) {
+	if i > 0 && q.items[i].before(&q.items[(i-1)>>2]) {
+		q.siftUp(i)
+		return
+	}
 	q.siftDown(i)
-	q.siftUp(i)
 }
 
 func (q *eventQueue) siftUp(i int) {
 	items := q.items
-	e := items[i]
+	x := items[i]
 	for i > 0 {
 		parent := (i - 1) >> 2
-		p := items[parent]
-		if !eventBefore(e, p) {
+		if !x.before(&items[parent]) {
 			break
 		}
-		items[i] = p
-		p.index = i
+		items[i] = items[parent]
+		items[i].ev.index = i
 		i = parent
 	}
-	items[i] = e
-	e.index = i
+	items[i] = x
+	x.ev.index = i
 }
 
 func (q *eventQueue) siftDown(i int) {
 	items := q.items
 	n := len(items)
-	e := items[i]
+	x := items[i]
 	for {
 		first := i<<2 + 1
 		if first >= n {
@@ -105,17 +131,17 @@ func (q *eventQueue) siftDown(i int) {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if eventBefore(items[c], items[best]) {
+			if items[c].before(&items[best]) {
 				best = c
 			}
 		}
-		if !eventBefore(items[best], e) {
+		if !items[best].before(&x) {
 			break
 		}
 		items[i] = items[best]
-		items[i].index = i
+		items[i].ev.index = i
 		i = best
 	}
-	items[i] = e
-	e.index = i
+	items[i] = x
+	x.ev.index = i
 }

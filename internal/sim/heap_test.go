@@ -25,7 +25,7 @@ func TestEventQueuePopsInTotalOrder(t *testing.T) {
 			if q.len() != n-i {
 				t.Fatalf("trial %d: len %d, want %d", trial, q.len(), n-i)
 			}
-			if got := q.min(); got != w {
+			if got := q.min(); got.ev != w || got.at != w.at || got.seq != w.seq {
 				t.Fatalf("trial %d pop %d: got (at=%v seq=%d), want (at=%v seq=%d)",
 					trial, i, got.at, got.seq, w.at, w.seq)
 			}
@@ -79,9 +79,10 @@ func TestEventQueueRemoveKeepsOrder(t *testing.T) {
 	}
 }
 
-// TestEventQueueIndexConsistency verifies the index invariant — every
-// queued event's index field points at its own slot — after a mixed
-// push/pop/remove workload. Cancel depends on it.
+// TestEventQueueIndexConsistency verifies the slot invariants — every
+// queued event's index field points at its own slot, and every slot's
+// inline key matches its event's (at, seq) — after a mixed
+// push/pop/remove/rekey workload. Cancel and Reschedule depend on both.
 func TestEventQueueIndexConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var q eventQueue
@@ -94,22 +95,50 @@ func TestEventQueueIndexConsistency(t *testing.T) {
 			e := &Event{at: Time(rng.Intn(50)), seq: seq, index: -1}
 			q.push(e)
 			live[e] = true
-		case rng.Intn(2) == 0:
+		case rng.Intn(3) == 0:
 			e := q.pop()
 			delete(live, e)
+		case rng.Intn(2) == 0:
+			// rekey: move a random event to a random new key, earlier or
+			// later, and check it pops in order later on.
+			e := q.items[rng.Intn(q.len())].ev
+			seq++
+			e.at, e.seq = Time(rng.Intn(50)), seq
+			q.rekey(e.index)
 		default:
-			i := rng.Intn(q.len())
-			e := q.items[i]
+			e := q.items[rng.Intn(q.len())].ev
 			q.remove(e.index)
 			delete(live, e)
 		}
-		for i, e := range q.items {
-			if e.index != i {
-				t.Fatalf("op %d: items[%d].index = %d", op, i, e.index)
+		for i, it := range q.items {
+			if it.ev.index != i {
+				t.Fatalf("op %d: items[%d].index = %d", op, i, it.ev.index)
 			}
-			if !live[e] {
+			if it.at != it.ev.at || it.seq != it.ev.seq {
+				t.Fatalf("op %d: items[%d] key (%v, %d), event (%v, %d)", op, i, it.at, it.seq, it.ev.at, it.ev.seq)
+			}
+			if !live[it.ev] {
 				t.Fatalf("op %d: dead event in queue", op)
+			}
+			if p := (i - 1) >> 2; i > 0 && it.before(&q.items[p]) {
+				t.Fatalf("op %d: items[%d] sorts before its parent", op, i)
 			}
 		}
 	}
+	for prev := (*Event)(nil); q.len() > 0; {
+		e := q.pop()
+		if prev != nil && eventBefore(e, prev) {
+			t.Fatalf("pop order broken: (%v, %d) after (%v, %d)", e.at, e.seq, prev.at, prev.seq)
+		}
+		prev = e
+	}
+}
+
+// eventBefore is the (at, seq) order on events, the reference the heap's
+// inline keys must reproduce.
+func eventBefore(a, b *Event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }

@@ -4,9 +4,10 @@
 // substitute for the DeNet simulation language in which the original
 // Carey/Livny simulator was written.
 //
-// A Sim owns a virtual clock and an event queue. Events scheduled for the
-// same instant fire in FIFO order, and all randomness flows through a
-// single seeded source, so every run is fully deterministic. Most of the
+// A Sim owns a virtual clock and an event queue. Events fire in (at, seq)
+// order — time, then scheduling order — so events scheduled for the same
+// instant fire in FIFO order, and all randomness flows through a single
+// seeded source, so every run is fully deterministic. Most of the
 // model runs as event callbacks: message delivery, resource completions,
 // and every node-side activity (cohort work phases, lock waits, the 2PL
 // Snoop, node recovery) as continuations that a completion schedules at
@@ -21,6 +22,12 @@
 // 1.22 so that modules requiring this one at go 1.22 build unchanged; the
 // go1.23 build constraint raises this file's language version so go vet
 // accepts the iter import.
+//
+// The event queue is two structures behind one order: a 4-ary heap keyed
+// by (at, seq), and a FIFO lane for events scheduled at the current
+// instant, which need no sifting because they arrive in seq order. Dispatch
+// takes whichever of the two heads comes first. Reschedule re-keys a
+// pending heap event in place instead of a cancel and a fresh schedule.
 //
 // The kernel hot path is allocation-free in steady state: fired and
 // canceled callback events are recycled through a free-list, and every
@@ -48,16 +55,27 @@ type Time = float64
 // is dead — the simulator may reuse the struct for a later Schedule call.
 // Holders must drop their reference after the event fires or after they
 // cancel it (calling Cancel again on a dead handle before the simulator
-// reuses it is still a harmless no-op). All in-tree callers either discard
-// the handle immediately or nil their reference on fire/cancel.
+// reuses it is still a harmless no-op), and must replace it with the handle
+// Reschedule returns. All in-tree callers either discard the handle
+// immediately or nil their reference on fire/cancel.
 type Event struct {
-	at       Time
-	seq      uint64
-	fn       func() // callback events; nil for process-resume events
-	proc     *Proc  // process-resume events fire by resuming this process
-	index    int    // heap index, -1 while not queued
+	at   Time
+	seq  uint64
+	fn   func() // callback events; nil for process-resume events
+	proc *Proc  // process-resume events fire by resuming this process
+	// index is where the event waits: idle (-1) when not queued — fresh,
+	// fired, or canceled out of the heap; inLane (-2) in the same-instant
+	// lane, where a canceled event stays until dispatch reaches it; or its
+	// heap slot (≥ 0).
+	index    int
 	canceled bool
 }
+
+// Event.index states other than a heap slot.
+const (
+	idle   = -1
+	inLane = -2
+)
 
 // Canceled reports whether Cancel was called on the event.
 func (e *Event) Canceled() bool { return e.canceled }
@@ -67,8 +85,13 @@ func (e *Event) At() Time { return e.at }
 
 // Sim is a discrete-event simulator instance.
 type Sim struct {
-	now        Time
-	events     eventQueue
+	now    Time
+	events eventQueue // events at a later instant than when they were queued
+	// lane is a FIFO ring of the events scheduled at the current instant,
+	// oldest at laneHead; len(lane) is zero or a power of two.
+	lane       []*Event
+	laneHead   int
+	laneLen    int
 	free       []*Event // recycled callback events
 	seq        uint64
 	dispatched uint64
@@ -131,7 +154,7 @@ func (s *Sim) allocEvent() *Event {
 		e.canceled = false
 		return e
 	}
-	return &Event{index: -1} //ddbmlint:allow hotpath-alloc event pool growth to the in-flight high-water mark
+	return &Event{index: idle} //ddbmlint:allow hotpath-alloc event pool growth to the in-flight high-water mark
 }
 
 // releaseEvent returns a fired or canceled callback event to the free-list.
@@ -142,10 +165,13 @@ func (s *Sim) releaseEvent(e *Event) {
 	s.free = append(s.free, e) //ddbmlint:allow hotpath-alloc event free-list push; capacity reaches the in-flight high-water mark
 }
 
-// enqueue stamps the event with the next sequence number and queues it.
-// The seq counter advances exactly once per scheduling call, in call order,
-// which (together with the total (at, seq) heap order) makes event dispatch
-// order a pure function of the call sequence.
+// enqueue stamps the event with the next sequence number and queues it: at
+// the current instant on the lane, later in the heap. The seq counter
+// advances exactly once per scheduling call, in call order, which (together
+// with the total (at, seq) dispatch order) makes event dispatch order a pure
+// function of the call sequence. The lane needs no ordering work: the clock
+// never passes a lane event, so all of them share at == now and arrive in
+// seq order.
 func (s *Sim) enqueue(e *Event, at Time) {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, s.now)) //ddbmlint:allow hotpath-alloc kernel-bug panic path; the run is already dead
@@ -153,7 +179,31 @@ func (s *Sim) enqueue(e *Event, at Time) {
 	s.seq++
 	e.at = at
 	e.seq = s.seq
-	s.events.push(e)
+	if at != s.now {
+		s.events.push(e)
+		return
+	}
+	if s.laneLen == len(s.lane) {
+		s.growLane()
+	}
+	s.lane[(s.laneHead+s.laneLen)&(len(s.lane)-1)] = e
+	s.laneLen++
+	e.index = inLane
+}
+
+// growLane doubles the lane ring (minimum 16 slots), unwrapping the queued
+// events to the front of the new buffer.
+func (s *Sim) growLane() {
+	n := 2 * len(s.lane)
+	if n == 0 {
+		n = 16
+	}
+	buf := make([]*Event, n) //ddbmlint:allow hotpath-alloc same-instant lane growth to its high-water burst; 0 allocs/op pinned by TestSameInstantAllocFree
+	for i := 0; i < s.laneLen; i++ {
+		buf[i] = s.lane[(s.laneHead+i)&(len(s.lane)-1)]
+	}
+	s.lane = buf
+	s.laneHead = 0
 }
 
 // Schedule registers fn to run at absolute time at. Scheduling in the past
@@ -179,28 +229,54 @@ func (s *Sim) After(d Time, fn func()) *Event {
 // scheduling it twice is a kernel-usage bug and panics loudly instead of
 // corrupting the queue.
 func (s *Sim) scheduleProc(at Time, p *Proc) {
-	if p.ev.index >= 0 {
+	if p.ev.index != idle {
 		panic(fmt.Sprintf("sim: process %q already has a pending resume", p.name)) //ddbmlint:allow hotpath-alloc kernel-bug panic path; the run is already dead
 	}
 	p.ev.canceled = false
 	s.enqueue(&p.ev, at)
 }
 
-// Cancel removes a pending event. Canceling an already-fired or
-// already-canceled event is a no-op (but see the recycling contract on
-// Event: a dead handle must be dropped promptly).
+// Cancel removes a pending event. A heap event leaves the heap at once; a
+// lane event is only marked, and dispatch drops (and recycles) it when it
+// reaches the lane head — until then a process's canceled resume event
+// still counts as pending for scheduleProc (nothing cancels one today).
+// Canceling an already-fired or already-canceled event is a no-op (but see
+// the recycling contract on Event: a dead handle must be dropped promptly).
 func (s *Sim) Cancel(e *Event) {
-	if e == nil || e.canceled || e.index < 0 {
-		if e != nil {
-			e.canceled = true
-		}
+	if e == nil || e.canceled {
 		return
 	}
 	e.canceled = true
+	if e.index < 0 {
+		return
+	}
 	s.events.remove(e.index)
 	if e.proc == nil {
 		s.releaseEvent(e)
 	}
+}
+
+// Reschedule moves the pending callback event e to time at and returns the
+// handle to hold from now on. It dispatches exactly as Cancel(e) followed by
+// Schedule(at, fn) with e's callback would: it draws the next seq at the
+// same point of the call sequence. A heap event moving to a later instant
+// keeps its struct and is re-keyed in place, one sift instead of a removal,
+// a free-list round trip and a push; any other event takes the cancel and
+// schedule path, so the returned handle may differ from e.
+func (s *Sim) Reschedule(e *Event, at Time) *Event {
+	if e.canceled || e.fn == nil {
+		panic("sim: Reschedule of a fired, canceled or process event")
+	}
+	if e.index >= 0 && at > s.now {
+		s.seq++
+		e.at = at
+		e.seq = s.seq
+		s.events.rekey(e.index)
+		return e
+	}
+	fn := e.fn
+	s.Cancel(e)
+	return s.Schedule(at, fn)
 }
 
 // fire dispatches one popped event: callback events are recycled before
@@ -218,19 +294,44 @@ func (s *Sim) fire(e *Event) {
 	fn()
 }
 
+// take removes and returns the next live event if it fires before end, or
+// returns nil. The next event is whichever of the lane head and the heap top
+// comes first by (at, seq): the heap can still hold an event at now with an
+// earlier seq, queued before the clock reached now. Canceled lane events are
+// dropped here and recycled; canceled heap events already left the heap.
+func (s *Sim) take(end Time) *Event {
+	for s.laneLen > 0 {
+		e := s.lane[s.laneHead]
+		if s.events.len() > 0 {
+			if top := s.events.min(); top.at < e.at || top.at == e.at && top.seq < e.seq {
+				break
+			}
+		}
+		if e.at >= end {
+			return nil
+		}
+		s.lane[s.laneHead] = nil
+		s.laneHead = (s.laneHead + 1) & (len(s.lane) - 1)
+		s.laneLen--
+		e.index = idle
+		if !e.canceled {
+			return e
+		}
+		if e.proc == nil {
+			s.releaseEvent(e)
+		}
+	}
+	if s.events.len() == 0 || s.events.min().at >= end {
+		return nil
+	}
+	return s.events.pop()
+}
+
 // Run executes events until the clock reaches end (exclusive) or the event
 // queue drains, then terminates all live processes. It returns the final
 // simulated time.
 func (s *Sim) Run(end Time) Time {
-	for s.events.len() > 0 {
-		e := s.events.min()
-		if e.at >= end {
-			break
-		}
-		s.events.pop()
-		if e.canceled {
-			continue
-		}
+	for e := s.take(end); e != nil; e = s.take(end) {
 		s.fire(e)
 	}
 	if s.now < end {
@@ -243,19 +344,12 @@ func (s *Sim) Run(end Time) Time {
 // Step executes the single next event if one exists before end; it reports
 // whether an event fired. Useful for tests that need fine-grained control.
 func (s *Sim) Step(end Time) bool {
-	for s.events.len() > 0 {
-		e := s.events.min()
-		if e.at >= end {
-			return false
-		}
-		s.events.pop()
-		if e.canceled {
-			continue
-		}
-		s.fire(e)
-		return true
+	e := s.take(end)
+	if e == nil {
+		return false
 	}
-	return false
+	s.fire(e)
+	return true
 }
 
 // Shutdown stops every live process coroutine. A process parked mid-body
@@ -322,7 +416,7 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 func (s *Sim) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{sim: s, name: name, fn: fn, slot: len(s.procs)}
 	p.ev.proc = p
-	p.ev.index = -1
+	p.ev.index = idle
 	p.next, p.stop = iter.Pull(p.run)
 	s.procs = append(s.procs, p)
 	s.scheduleProc(at, p)

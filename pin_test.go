@@ -77,6 +77,13 @@ func TestRunPins(t *testing.T) {
 		{"2PC-crashes", func() ddbm.Config { return crashes(ddbm.CentralizedTwoPC) }, 188942, 0xbf642e78b8a147a1, false},
 		{"WW", with(func(c *ddbm.Config) { c.Algorithm = ddbm.WoundWait }), 272353, 0xa44f6de53089bc56, false},
 		{"BTO", with(func(c *ddbm.Config) { c.Algorithm = ddbm.BTO }), 271335, 0xb07a41bfad9812e2, false},
+		// Five crash sweeps in this run abort a BTO reader blocked behind a
+		// pending write, the path a stale blocked read once survived.
+		{"BTO-crashes", func() ddbm.Config {
+			cfg := crashes(ddbm.PresumedAbort)
+			cfg.Algorithm = ddbm.BTO
+			return cfg
+		}, 177140, 0x56ea23c8352956b6, false},
 		{"2PL-lock-timeout", with(func(c *ddbm.Config) { c.LockWaitTimeoutMs = 200 }), 285001, 0x4c26309f1e5288ba, false},
 		{"2PL-deferred-locks", with(func(c *ddbm.Config) {
 			c.ReplicaCount = 2
